@@ -40,19 +40,6 @@ namespace opac::bench
 {
 
 /**
- * Process-wide default for CoprocConfig::skipIdleCycles, set by
- * initSimFlags from --no-skip. A mutable global (rather than plumbing
- * a flag through every table function) because it is a pure
- * debugging aid: skipping is bit-identical to spinning.
- */
-inline bool &
-skipDefault()
-{
-    static bool skip = true;
-    return skip;
-}
-
-/**
  * Process-wide fault-injection plan, set by initSimFlags from
  * --faults=<spec> (docs/RESILIENCE.md). Empty by default, so benches
  * run fault-free and byte-identical to a build without the subsystem.
@@ -73,27 +60,17 @@ parityDefault()
 }
 
 /**
- * Process-wide engine mode, set by initSimFlags from --engine=. All
- * four modes are bit-identical in simulated cycles, statistics and
- * trace output (docs/PERFORMANCE.md), so this only selects how fast
- * the host machine gets there.
+ * Process-wide engine mode, set by initSimFlags from --engine=. A
+ * mutable global (rather than plumbing a flag through every table
+ * function) because both modes are bit-identical in simulated cycles,
+ * statistics and trace output (docs/PERFORMANCE.md): spin is only a
+ * debugging aid.
  */
 inline sim::EngineMode &
 engineDefault()
 {
     static sim::EngineMode mode = sim::EngineMode::Skip;
     return mode;
-}
-
-/**
- * Process-wide worker count for --engine=parallel, set by initSimFlags
- * from --sim-threads= (0 = one per hardware thread).
- */
-inline unsigned &
-simThreadsDefault()
-{
-    static unsigned threads = 0;
-    return threads;
 }
 
 /**
@@ -111,17 +88,13 @@ fastTierDefault()
 
 /**
  * Parse the simulation-wide bench flags:
- *   --no-skip        run every idle cycle instead of fast-forwarding
- *                    (bit-identical; only slower — a debugging aid)
  *   --jobs N         worker threads for the parameter sweep
  *                    (default: hardware concurrency)
  *   --faults=SPEC    fault-injection plan for every system the bench
  *                    builds (grammar in docs/RESILIENCE.md)
  *   --parity=MODE    off | detect | correct FIFO word protection
- *   --engine=MODE    spin | skip | event | parallel scheduler
- *                    (bit-identical; see docs/PERFORMANCE.md)
- *   --sim-threads=N  workers for --engine=parallel (0 = one per
- *                    hardware thread)
+ *   --engine=MODE    spin | skip scheduler (bit-identical; spin
+ *                    ticks every cycle, see docs/PERFORMANCE.md)
  *   --fast-tier=X    on | off superop fast tier (bit-identical;
  *                    off forces the per-cycle interpreter)
  * Returns the job count for sim::sweep.
@@ -142,9 +115,7 @@ timingConfig(unsigned cells, std::size_t tf, unsigned tau,
     cfg.host.tau = tau;
     cfg.memoryWords = memory_words;
     cfg.watchdogCycles = 2000000;
-    cfg.skipIdleCycles = skipDefault();
     cfg.engineMode = engineDefault();
-    cfg.simThreads = simThreadsDefault();
     cfg.faults = faultDefault();
     cfg.cell.parity = parityDefault();
     cfg.fastTier = fastTierDefault();
@@ -219,7 +190,6 @@ argText(int argc, char **argv, const std::string &flag)
 inline unsigned
 initSimFlags(int argc, char **argv)
 {
-    skipDefault() = !argFlag(argc, argv, "--no-skip");
     try {
         std::string faults = argText(argc, argv, "--faults");
         if (!faults.empty())
@@ -235,13 +205,10 @@ initSimFlags(int argc, char **argv)
     if (!engine.empty()
         && !sim::parseEngineMode(engine, engineDefault())) {
         std::fprintf(stderr,
-                     "%s: bad --engine value '%s' (want spin, skip, "
-                     "event or parallel)\n", argv[0], engine.c_str());
+                     "%s: bad --engine value '%s' (want spin or "
+                     "skip)\n", argv[0], engine.c_str());
         std::exit(2);
     }
-    std::string threads = argText(argc, argv, "--sim-threads");
-    if (!threads.empty())
-        simThreadsDefault() = unsigned(std::atol(threads.c_str()));
     std::string fast = argText(argc, argv, "--fast-tier");
     if (!fast.empty()) {
         if (fast == "on") {

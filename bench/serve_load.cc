@@ -22,7 +22,7 @@
  * gates on exactly that against bench/baselines/BENCH_serve_load.json.
  *
  * Everything reported is simulated-time deterministic: reruns (and
- * --engine=/--sim-threads= changes, which this bench honors via
+ * --engine= changes, which this bench honors via
  * initSimFlags) are byte-identical, so the committed baseline pins
  * scheduler behavior, not just speed. --smoke shrinks the grid for
  * the sanitizer legs.
@@ -153,9 +153,7 @@ runCase(const LoadCase &lc, const ObsOut &obs, const DurOpts &dur)
     cfg.shard.cells = 2;
     cfg.shard.tf = 512;
     cfg.shard.memoryWords = 1 << 20;
-    cfg.shard.skipIdleCycles = skipDefault();
     cfg.shard.engineMode = engineDefault();
-    cfg.shard.simThreads = simThreadsDefault();
     cfg.shard.fastTier = fastTierDefault();
     cfg.sched.batchMax = 2;
     if (!lc.faults.empty())
@@ -381,7 +379,6 @@ main(int argc, char **argv)
     json.config("tf", 512);
     json.config("batch_max", 2);
     json.config("engine", sim::engineModeName(engineDefault()));
-    json.config("sim_threads", long(simThreadsDefault()));
     json.config("fast_tier", fastTierDefault() ? "on" : "off");
     json.config("smoke", smoke ? "yes" : "no");
 

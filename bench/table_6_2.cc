@@ -101,7 +101,6 @@ main(int argc, char **argv)
     json.config("rows", long(n));
     json.config("cols", long(m));
     json.config("engine", sim::engineModeName(engineDefault()));
-    json.config("sim_threads", long(simThreadsDefault()));
     json.config("fast_tier", fastTierDefault() ? "on" : "off");
 
     std::size_t idx = 0;

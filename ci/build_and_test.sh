@@ -2,7 +2,8 @@
 # CI entry point: build the default configuration, an optimized Release
 # configuration (-O2 with assertions kept), and the sanitized
 # configurations (OPAC_SANITIZE=ON: ASan + UBSan; OPAC_SANITIZE=thread:
-# TSan, which exercises the parallel sweep runner) and run the test
+# TSan, which exercises the parallel sweep runner and the serve shard
+# workers) and run the test
 # suite under each. Usage: ci/build_and_test.sh [build-root]
 set -eu
 
@@ -39,23 +40,18 @@ plain="$build_root/plain"
 "$plain/tools/trace_report" "$plain/trace_smoke.json" > /dev/null
 echo "trace smoke test OK"
 
-# Parallel-engine determinism under TSan: the sharded cell execution
-# is the simulator's only intra-run concurrency; rerun its golden
-# suite and a bench smoke with a real worker pool under the race
+# Serve concurrency under TSan: every engine runs on one thread, so the
+# job server's shard workers (one engine per shard on its own thread,
+# plus the submit/deliver locking) are the only intra-process
+# concurrency. Rerun its suite and a bench smoke under the race
 # detector. (The tsan ctest pass above already ran the suite once;
 # this leg pins the intent so a test-regex change cannot silently
 # drop it.)
-echo "=== parallel engine (TSan) ==="
+echo "=== serve shard workers (TSan) ==="
 tsan="$build_root/tsan"
-(cd "$tsan" && ctest -R test_engine_parallel --output-on-failure)
-(cd "$tsan" && ./bench/table_6_2 --rows 32 --cols 32 --jobs 1 \
-    --engine=parallel --sim-threads=4 > /dev/null)
-# The job server is the other concurrency surface: one engine per
-# shard on real worker threads, plus the submit/deliver locking.
 (cd "$tsan" && ctest -R test_serve --output-on-failure)
-(cd "$tsan" && ./bench/serve_load --smoke --engine=parallel \
-    --sim-threads=2 > /dev/null)
-echo "parallel engine TSan OK"
+(cd "$tsan" && ./bench/serve_load --smoke > /dev/null)
+echo "serve shard workers TSan OK"
 
 # Fault matrix: soak the recovery stack under the sanitizers. A
 # flip/hang/mem fault plan over a full table run must complete (parity
@@ -76,7 +72,7 @@ echo "fault matrix OK"
 # Snapshot & resume (sanitized): pause the representative table_6_1
 # case at a fixed cycle, write a checkpoint, validate it, and resume
 # it — under ASan/UBSan so the whole save/load path soaks. The golden
-# byte-identity matrix itself (4 engine modes x fast tier, serve
+# byte-identity matrix itself (2 engine modes x fast tier, serve
 # crash/restart exactly-once) is tests/test_snapshot, which every
 # ctest pass above already ran; this leg pins the bench-flag wiring
 # and keeps a snapshot in the CI artifacts.

@@ -23,6 +23,10 @@ WarpArray::WarpArray(const WarpConfig &cfg)
     }
     hostPtr = std::make_unique<host::Host>("host", cfg.host, mem, raw,
                                            &statRoot);
+    // Interface-queue mutations on either side must wake a sleeping
+    // host or cell first (the skip engine's wake-before-mutation rule).
+    for (auto &c : cellPtrs)
+        c->setBusWakeNeighbor(hostPtr.get());
     eng.add(hostPtr.get());
     for (unsigned i = 0; i + 1 < cfg.cells; ++i) {
         links.push_back(std::make_unique<ChainLink>(

@@ -98,7 +98,7 @@ Cell::Cell(std::string name, const CellConfig &cfg,
     _tpo.setParity(cfg.parity);
 
     // Every queue mutation must wake this cell before it happens so
-    // the event engine can replay slept-through rounds against the
+    // the skip engine can replay slept-through rounds against the
     // pre-mutation state. setBusWakeNeighbor() later adds the host on
     // the four interface queues.
     for (TimedFifo *q : queueTab)
@@ -174,8 +174,7 @@ Cell::attachTracer(trace::Tracer *t)
     _reby.attachTracer(t, traceComp);
     // Pre-intern every kernel's name track so dispatch-time lookups
     // never append to the track table: track ids stay independent of
-    // runtime call order (identical across engine modes) and the scan
-    // is read-only under the parallel engine.
+    // runtime call order (identical across engine modes).
     if (t) {
         for (const auto &[entry, k] : microcode)
             t->internTrack(traceComp, k.prog.name());

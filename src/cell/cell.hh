@@ -63,12 +63,6 @@ struct CellConfig
     FpKind fp = FpKind::Soft;       //!< arithmetic back-end
     /** Word protection on all seven FIFO queues (--parity=). */
     fault::ParityMode parity = fault::ParityMode::Off;
-    /**
-     * Offer superop bursts of steady-state innermost loop bodies to
-     * the engine (--fast-tier=). Results are byte-identical either
-     * way; off forces the pure per-cycle interpreter.
-     */
-    bool fastTier = true;
 };
 
 /** Why the sequencer could not issue this cycle (for stall stats). */
@@ -151,18 +145,10 @@ class Cell : public sim::Component
     std::string statusLine() const override;
 
     /**
-     * Cells only touch their own state and their own seven queues, so
-     * the parallel engine may tick them concurrently: the host sees a
-     * push at t no earlier than t + fifoLatency, and a same-cycle
-     * tpo.pop() only *frees* space the cell would observe anyway.
-     */
-    bool independent() const override { return true; }
-
-    /**
      * Register the host as the wake target on the other end of the
      * four interface queues (tpx/tpy/tpo/tpi), so a cell-side
      * mutation — a result pushed on tpo, operands consumed from
-     * tpx/tpy — wakes a sleeping host under the event engine. Called
+     * tpx/tpy — wakes a sleeping host under the skip engine. Called
      * once at coprocessor build time.
      */
     void

@@ -254,7 +254,7 @@ Cell::burstQuantum(Cycle now)
 {
     // Not in a streamable state: silent (no fallback counter) — this
     // is the ordinary non-steady-state case, not a refused burst.
-    if (!cfg.fastTier || _dead || _faulted || now < hangUntil
+    if (_dead || _faulted || now < hangUntil
         || state != SeqState::Run || loopStack.empty())
         return 0;
     if (tracer || traceHook) {

@@ -225,10 +225,10 @@ class TimedFifo
      * of this queue: the component whose state this queue is part of
      * (@p owner) and the component on the other end of the link
      * (@p neighbor, null for cell-internal queues). Either may be
-     * sleeping under the event engine with a wake hint computed from
+     * sleeping under the skip engine with a wake hint computed from
      * this queue's current state; notifying them *before* the
      * mutation lets the engine replay their slept-through cycles
-     * against exactly that state. Near-free when the event scheduler
+     * against exactly that state. Near-free when the skip scheduler
      * is not active.
      */
     void

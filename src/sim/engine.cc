@@ -11,8 +11,6 @@
 namespace opac::sim
 {
 
-thread_local unsigned Engine::tlsSlot_ = 0;
-
 void
 Component::saveState(snap::Writer &w) const
 {
@@ -36,10 +34,6 @@ engineModeName(EngineMode m)
         return "spin";
       case EngineMode::Skip:
         return "skip";
-      case EngineMode::Event:
-        return "event";
-      case EngineMode::Parallel:
-        return "parallel";
     }
     return "?";
 }
@@ -47,8 +41,7 @@ engineModeName(EngineMode m)
 bool
 parseEngineMode(const std::string &text, EngineMode &out)
 {
-    for (EngineMode m : {EngineMode::Spin, EngineMode::Skip,
-                         EngineMode::Event, EngineMode::Parallel}) {
+    for (EngineMode m : {EngineMode::Spin, EngineMode::Skip}) {
         if (text == engineModeName(m)) {
             out = m;
             return true;
@@ -84,17 +77,8 @@ Engine::statusDump() const
 Cycle
 Engine::run(Cycle max_cycles)
 {
-    switch (_mode) {
-      case EngineMode::Spin:
-        return runSerial(max_cycles, false);
-      case EngineMode::Skip:
-        return runSerial(max_cycles, true);
-      case EngineMode::Event:
-        return runEvent(max_cycles);
-      case EngineMode::Parallel:
-        return runParallel(max_cycles);
-    }
-    return 0;
+    return _mode == EngineMode::Spin ? runSpin(max_cycles)
+                                     : runSkip(max_cycles);
 }
 
 Cycle
@@ -137,20 +121,51 @@ Engine::loadState(snap::Reader &r)
     lastProgress = cycle;
 }
 
+void
+Engine::checkMaxCycles(Cycle start, Cycle max_cycles)
+{
+    if (max_cycles == 0 || cycle - start < max_cycles)
+        return;
+    settle();
+    opac_fatal("simulation exceeded max_cycles = %llu "
+               "(%llu cycles simulated)\n%s",
+               static_cast<unsigned long long>(max_cycles),
+               static_cast<unsigned long long>(cycle - start),
+               statusDump().c_str());
+}
+
+void
+Engine::watchdogExpired()
+{
+    if (watchdogHandler && watchdogHandler(*this)) {
+        // A recovery handler claimed the expiry; restart the count and
+        // give the machine another watchdog period to react.
+        lastProgress = cycle;
+        return;
+    }
+    settle();
+    throw DeadlockError(
+        "engine", cycle,
+        strfmt("deadlock: no progress for %llu cycles "
+               "(engine mode %s)\n%s",
+               static_cast<unsigned long long>(watchdogCycles),
+               engineModeName(_mode), statusDump().c_str()));
+}
+
 bool
-Engine::attemptBurst(Cycle start, Cycle max_cycles, bool event_mode)
+Engine::attemptBurst(Cycle start, Cycle max_cycles)
 {
     ++_burstAttempts;
     const unsigned n = static_cast<unsigned>(components.size());
 
     // Who can burst, and for how long? The window is the smallest
-    // granted quantum. Sleeping slots (event mode) are never bursters:
-    // their slept rounds have not been replayed, so their counters lag
-    // behind their architectural state.
+    // granted quantum. Sleeping slots are never bursters: their slept
+    // rounds have not been replayed, so their counters lag behind
+    // their architectural state.
     burstSlots_.clear();
     Cycle w = Component::noEvent;
     for (unsigned s = 0; s < n; ++s) {
-        if (event_mode && sleep_[s].asleep)
+        if (sleep_[s].asleep)
             continue;
         Cycle q = components[s]->burstQuantum(cycle);
         if (q > 0) {
@@ -180,30 +195,31 @@ Engine::attemptBurst(Cycle start, Cycle max_cycles, bool event_mode)
             ++nburst;
             continue;
         }
-        Component *c = components[s];
-        if (event_mode && sleep_[s].asleep) {
-            if (sleep_[s].wakeAt <= cycle)
+        const SleepState &ss = sleep_[s];
+        if (ss.asleep) {
+            if (ss.wakeAt <= cycle)
                 return passiveFail();
-            w = std::min(w, sleep_[s].wakeAt - cycle);
+            w = std::min(w, ss.wakeAt - cycle);
             continue;
         }
         if (slotProg_[s])
             return passiveFail();
+        Component *c = components[s];
         Cycle at = c->nextEventAt(cycle);
         if (at <= cycle)
             return passiveFail();
         w = std::min(w, at - cycle);
         // An observer tick (the stats sampler) must see every counter
         // live; its hint normally coincides, but clamp explicitly.
-        Cycle ob = c->observesSystemAt(cycle);
-        if (ob != Component::noEvent) {
+        if (ss.observer) {
+            Cycle ob = c->observesSystemAt(cycle);
             if (ob <= cycle)
                 return passiveFail();
             w = std::min(w, ob - cycle);
         }
     }
 
-    // Deadline clamps, same as the skip jump: the watchdog and
+    // Deadline clamps, same as the all-asleep jump: the watchdog and
     // max_cycles must fire at exactly the cycle a spin run reaches
     // them.
     if (watchdogCycles != 0)
@@ -222,16 +238,17 @@ Engine::attemptBurst(Cycle start, Cycle max_cycles, bool event_mode)
     // state the passives observe (the burstQuantum contract).
     burstBits_.assign(std::size_t((w + 63) / 64), 0);
     for (unsigned s : burstSlots_) {
-        tlsSlot_ = s;
+        currentSlot_ = s;
         components[s]->burstRun(cycle, w, *this, burstBits_.data());
     }
+    currentSlot_ = 0;
     nburst = 0;
     for (unsigned s = 0; s < n; ++s) {
         if (nburst < burstSlots_.size() && burstSlots_[nburst] == s) {
             ++nburst;
             continue;
         }
-        if (event_mode && sleep_[s].asleep)
+        if (sleep_[s].asleep)
             continue;
         components[s]->fastForward(cycle, w, *this);
     }
@@ -277,126 +294,29 @@ Engine::burstFailed(Cycle at)
 }
 
 Cycle
-Engine::runSerial(Cycle max_cycles, bool skip)
+Engine::runSpin(Cycle max_cycles)
 {
     Cycle start = cycle;
-    // The watchdog and the skip hysteresis both derive from engine
-    // time (cycles since the last round that made progress), not from
-    // tick-loop iterations, so every run mode counts idleness the
-    // same way no matter how its loop is shaped. A runUntil() stop
+    // The watchdog derives from engine time (cycles since the last
+    // round that made progress), not from tick-loop iterations, so
+    // both run modes count idleness the same way. A runUntil() stop
     // carries the idle baseline forward so a resumed run counts
     // idleness from the same cycle an uninterrupted one would.
     lastProgress = cycle - std::min(idleCarry_, cycle);
     idleCarry_ = 0;
-    // Superop bursts only when skipping (Spin stays the pure per-cycle
-    // reference) and untraced (traces need per-cycle event edges).
-    const bool burst = skip && fastTier_ && !_tracer;
-    attributeProgress_ = burst;
-    if (burst) {
-        slotProg_.assign(components.size(), 0);
-        nextBurstTry_ = cycle;
-        burstFailStreak_ = 0;
-    }
-    auto watchdogExpired = [&] {
-        if (watchdogHandler && watchdogHandler(*this)) {
-            // A recovery handler claimed the expiry; restart the count
-            // and give the machine another watchdog period to react.
-            lastProgress = cycle;
-            return;
-        }
-        throw DeadlockError(
-            "engine", cycle,
-            strfmt("deadlock: no progress for %llu cycles "
-                   "(idle-cycle skipping %s)\n%s",
-                   static_cast<unsigned long long>(watchdogCycles),
-                   skip ? "on" : "off", statusDump().c_str()));
-    };
+    attributeProgress_ = false;
     while (!allDone() && cycle < stopAt_) {
-        if (max_cycles != 0 && cycle - start >= max_cycles) {
-            opac_fatal("simulation exceeded max_cycles = %llu "
-                       "(%llu cycles simulated)\n%s",
-                       static_cast<unsigned long long>(max_cycles),
-                       static_cast<unsigned long long>(cycle - start),
-                       statusDump().c_str());
-        }
-        progressed.store(false, std::memory_order_relaxed);
-        if (burst) {
-            std::fill(slotProg_.begin(), slotProg_.end(),
-                      std::uint8_t(0));
-            for (auto *c : components) {
-                tlsSlot_ = c->slot();
-                c->tick(*this);
-            }
-        } else {
-            for (auto *c : components)
-                c->tick(*this);
-        }
+        checkMaxCycles(start, max_cycles);
+        progressed = false;
+        for (auto *c : components)
+            c->tick(*this);
         ++cycle;
         ++statCycles;
-        if (progressed.load(std::memory_order_relaxed)) {
+        if (progressed) {
             lastProgress = cycle;
-            // A streaming component is the burst opportunity: try to
-            // hand it a multi-cycle quantum while everyone else is
-            // provably passive.
-            if (burst && cycle >= nextBurstTry_
-                && attemptBurst(start, max_cycles, false)
-                && watchdogCycles != 0
-                && cycle - lastProgress >= watchdogCycles)
-                watchdogExpired();
             continue;
         }
         ++statIdleCycles;
-        if (watchdogCycles != 0 && cycle - lastProgress >= watchdogCycles)
-            watchdogExpired();
-        // Attempt a jump only after two consecutive quiescent rounds:
-        // workloads that alternate progress and one-cycle stalls (a
-        // host feeding at tau = 2) would otherwise pay for hint
-        // computation every other cycle and never skip anything.
-        if (!skip || cycle - lastProgress < 2)
-            continue;
-
-        // Quiescent round: every cycle until the earliest next-event
-        // hint is an exact replica of the round just executed, so the
-        // clock can jump there directly. The jump is clamped to the
-        // watchdog and max_cycles deadlines so both fire at exactly
-        // the cycle the spin-mode run would reach them.
-        Cycle target = Component::noEvent;
-        for (const auto *c : components) {
-            Cycle at = c->nextEventAt(cycle);
-            if (at <= cycle) {
-                target = cycle;
-                break;
-            }
-            target = std::min(target, at);
-        }
-        if (watchdogCycles != 0)
-            target = std::min(target, lastProgress + watchdogCycles);
-        if (max_cycles != 0)
-            target = std::min(target, start + max_cycles);
-        target = std::min(target, stopAt_);
-        // A one-cycle jump costs more than the live round it replaces
-        // (fastForward visits every component too); live rounds are
-        // always correct, so just run one.
-        if (target == Component::noEvent || target < cycle + 2)
-            continue;
-
-        Cycle skip_n = target - cycle;
-        if (_tracer) {
-            // Cycle-major replay keeps trace event order identical to
-            // the spin-mode stream.
-            for (Cycle k = 0; k < skip_n; ++k) {
-                for (auto *c : components)
-                    c->fastForward(cycle + k, 1, *this);
-            }
-        } else {
-            for (auto *c : components)
-                c->fastForward(cycle, skip_n, *this);
-        }
-        cycle = target;
-        statCycles += skip_n;
-        statIdleCycles += skip_n;
-        ++_fastForwards;
-        _skippedCycles += skip_n;
         if (watchdogCycles != 0 && cycle - lastProgress >= watchdogCycles)
             watchdogExpired();
     }

@@ -14,47 +14,33 @@
  * characteristic failure mode of this architecture, and silent hangs are
  * useless.
  *
- * The engine has four run modes, all bit-identical in simulated cycles,
+ * The engine has two run modes, bit-identical in simulated cycles,
  * statistics and trace output (EngineMode):
  *
- *  - Spin:     tick every component every cycle. The reference model.
- *  - Skip:     whole-system idle-cycle skipping (the default). After a
- *              tick round in which no component reported progress, the
- *              engine asks every component for the earliest future cycle
- *              at which it could act on its own (nextEventAt) and jumps
- *              the clock to the minimum hint; components replay the
- *              per-cycle side effects of the skipped quiescent rounds in
- *              fastForward (stall counters, occupancy samples, per-cycle
- *              stall trace events). A component that cannot predict its
- *              wake-up returns `now` (the default), which disables
- *              skipping while it is live; `noEvent` means it only ever
- *              reacts to other components.
- *  - Event:    per-component scheduling. A component that reports no
- *              progress for two consecutive rounds is put to sleep until
- *              its own nextEventAt hint — individually, even while the
- *              rest of the machine streams. Slept-through rounds are
- *              replayed lazily (fastForward) when the component wakes:
- *              at its hint, or early when a neighbor is about to mutate
- *              one of its FIFOs (Component::wakeForMutation, called
- *              before the mutation so the replay still sees the state
- *              the sleep hint was computed against).
- *  - Parallel: every cycle, the serial components (sampler, injector,
- *              host) tick in registration order on the main thread, then
- *              the independent() components (the cells — they never
- *              touch each other's state) are sharded across a worker
- *              pool and ticked concurrently, with a barrier per cycle.
- *              Quiescent stretches are skipped exactly as in Skip mode.
+ *  - Spin: tick every component every cycle. The reference model the
+ *          golden tests compare against; it never bursts.
+ *  - Skip: per-component scheduling (the default). A component that
+ *          reports no progress for two consecutive rounds is put to
+ *          sleep until its own nextEventAt hint — individually, even
+ *          while the rest of the machine streams. Slept-through rounds
+ *          are replayed lazily (fastForward) when the component wakes:
+ *          at its hint, or early when a neighbor is about to mutate
+ *          one of its FIFOs (Component::wakeForMutation, called before
+ *          the mutation so the replay still sees the state the sleep
+ *          hint was computed against). When every component is asleep
+ *          the clock jumps straight to the earliest wake-up. With the
+ *          fast tier on, an awake streaming component may also be
+ *          granted a multi-cycle burst.
  *
- * In Event and Parallel mode trace events are staged per component slot
- * and merged back into exact (cycle, slot) serial order before reaching
- * the sinks (trace::Tracer ordered mode), so trace output stays byte-
- * identical to a Spin run.
+ * In Skip mode trace events are staged per component slot and merged
+ * back into exact (cycle, slot) serial order before reaching the sinks
+ * (trace::Tracer ordered mode), so trace output stays byte-identical
+ * to a Spin run.
  */
 
 #ifndef OPAC_SIM_ENGINE_HH
 #define OPAC_SIM_ENGINE_HH
 
-#include <atomic>
 #include <functional>
 #include <string>
 #include <vector>
@@ -78,13 +64,11 @@ namespace opac::sim
 
 class Engine;
 
-/** How Engine::run() advances the clock. All modes are bit-identical. */
+/** How Engine::run() advances the clock. Both modes are bit-identical. */
 enum class EngineMode
 {
-    Spin,     //!< tick everything every cycle (reference model)
-    Skip,     //!< whole-system idle-cycle skipping (default)
-    Event,    //!< per-component sleep/wake scheduling
-    Parallel, //!< per-cycle parallel ticking of independent components
+    Spin, //!< tick everything every cycle (reference model)
+    Skip, //!< per-component sleep/wake scheduling (default)
 };
 
 /** Lower-case mode name as used on --engine= command lines. */
@@ -118,9 +102,9 @@ class Component
      * a FIFO front falling through, a countdown (decode, host
      * cooldown, scalar compute) expiring, an FP pipeline result
      * landing. Only consulted after a tick round with no progress.
-     * Return `now` when the wake-up cannot be predicted (disables
-     * skipping while this component is live — the safe default), or
-     * noEvent when this component only waits on others.
+     * Return `now` when the wake-up cannot be predicted (keeps this
+     * component awake — the safe default), or noEvent when this
+     * component only waits on others.
      */
     virtual Cycle nextEventAt(Cycle now) const { return now; }
 
@@ -130,11 +114,11 @@ class Component
      * done in each of those rounds given that none of them can make
      * progress (stall/busy counters, occupancy samples, per-cycle
      * stall trace events, countdown decrements). The engine
-     * guarantees from + cycles <= the minimum nextEventAt hint, so
-     * every replayed round is an exact replica of the quiescent round
-     * that preceded the jump. When a tracer is attached the engine
-     * calls this once per skipped cycle (cycles == 1, cycle-major
-     * across components) so trace event order is preserved exactly.
+     * guarantees from + cycles <= this component's nextEventAt hint,
+     * so every replayed round is an exact replica of the quiescent
+     * round that preceded the sleep. When a tracer is attached the
+     * engine calls this once per skipped cycle (cycles == 1) so trace
+     * event order is preserved exactly.
      */
     virtual void fastForward(Cycle from, Cycle cycles, Engine &engine)
     {
@@ -213,21 +197,14 @@ class Component
     virtual void loadState(snap::Reader &r, std::uint32_t version);
 
     /**
-     * True when tick() only ever touches this component's own state
-     * and its own FIFOs, never another component's: the parallel
-     * engine may then tick it concurrently with other independent
-     * components. Independent components must be registered after
-     * every serial one (the engine asserts this).
-     */
-    virtual bool independent() const { return false; }
-
-    /**
      * Next cycle >= now at which this component's tick reads OTHER
      * components' externally visible state (the stats sampler
      * snapshotting every counter in the tree is the one such case).
-     * The event engine catches every sleeping component up before
-     * such a tick so the observation matches the serial run. noEvent
-     * (the default) means the tick only touches its own state.
+     * The engine catches every sleeping component up before such a
+     * tick so the observation matches the spin run. noEvent (the
+     * default) means the tick only ever touches its own state; an
+     * observer must return a finite cycle from every call, because
+     * the engine identifies observers by polling once at run entry.
      */
     virtual Cycle observesSystemAt(Cycle now) const
     {
@@ -239,15 +216,12 @@ class Component
      * Notify the engine that some other agent is about to mutate this
      * component's externally visible state: a neighbor pushing into or
      * popping from one of its FIFOs, a fault arming, a forced reset.
-     * Must be called BEFORE the mutation — the event engine replays
+     * Must be called BEFORE the mutation — the skip scheduler replays
      * the slept-through cycles first, while the pre-mutation state
      * the sleep hint was computed against still holds. No-op unless
-     * the event scheduler is active and this component is asleep.
+     * the skip scheduler is active and this component is asleep.
      */
     void wakeForMutation();
-
-    /** Engine slot index, assigned by Engine::add(). */
-    unsigned slot() const { return _slot; }
 
     const std::string &name() const { return _name; }
 
@@ -290,26 +264,21 @@ class Engine
 
     /**
      * Components call this from tick() when they made forward
-     * progress. Relaxed ordering suffices: the parallel engine's
-     * per-cycle barrier orders the store against the main thread's
-     * end-of-round load.
+     * progress.
      *
      * With the fast tier enabled the progress is also attributed to
-     * the component being ticked (slot set by the run loops via
-     * thread-local state): a burst attempt must prove components
-     * individually quiescent, because a component's nextEventAt hint
-     * alone cannot — a FIFO front that became ready strictly before
-     * `now` reports no event even while its consumer is streaming.
-     * Slots are distinct bytes of slotProg_, so concurrent writers in
-     * parallel mode never race; the per-cycle barrier orders them
-     * against the main thread's reads.
+     * the component being ticked (currentSlot_): a burst attempt must
+     * prove components individually quiescent, because a component's
+     * nextEventAt hint alone cannot — a FIFO front that became ready
+     * strictly before `now` reports no event even while its consumer
+     * is streaming.
      */
     void
     noteProgress()
     {
-        progressed.store(true, std::memory_order_relaxed);
+        progressed = true;
         if (attributeProgress_)
-            slotProg_[tlsSlot_] = 1;
+            slotProg_[currentSlot_] = 1;
     }
 
     /**
@@ -326,7 +295,7 @@ class Engine
      * at cycle @p stop — counters settled, slept rounds replayed — so
      * it can be snapshotted and the run continued (by run() or
      * another runUntil()) with byte-identical results. The idle-time
-     * baseline the watchdog and skip hysteresis derive from is
+     * baseline the watchdog and sleep hysteresis derive from is
      * carried across the boundary (idleCarry_), so deadlock expiry
      * and jump decisions land on the same cycles as an uninterrupted
      * run.
@@ -336,10 +305,10 @@ class Engine
     /**
      * Serialize the engine-level mutable state (the clock and the
      * carried idle baseline). Registered stats (cycles/idleCycles)
-     * travel with the stats tree; per-mode scheduler scratch
-     * (sleep lists, burst backoff) re-initializes at run entry and
-     * is deliberately not saved — all modes are byte-identical, so a
-     * resumed run may even switch modes.
+     * travel with the stats tree; scheduler scratch (sleep lists,
+     * burst backoff) re-initializes at run entry and is deliberately
+     * not saved — both modes are byte-identical, so a resumed run may
+     * even switch modes.
      */
     void saveState(snap::Writer &w) const;
     void loadState(snap::Reader &r);
@@ -381,40 +350,21 @@ class Engine
 
     /**
      * Select the run mode (default Skip). Results are bit-identical
-     * in every mode; Spin is the debugging escape hatch and the
+     * in both modes; Spin is the debugging escape hatch and the
      * reference the golden-equivalence suite compares against.
      */
     void setMode(EngineMode m) { _mode = m; }
     EngineMode mode() const { return _mode; }
 
     /**
-     * Worker count for Parallel mode (0 = one worker per hardware
-     * thread). Effective parallelism is additionally capped by the
-     * number of independent components; with one worker the parallel
-     * engine degrades to the serial Skip loop.
-     */
-    void setThreads(unsigned n) { _threads = n; }
-    unsigned threads() const { return _threads; }
-
-    /**
-     * Back-compat shim for the pre-mode API: maps onto Skip / Spin.
-     */
-    void
-    setSkipEnabled(bool on)
-    {
-        _mode = on ? EngineMode::Skip : EngineMode::Spin;
-    }
-    bool skipEnabled() const { return _mode != EngineMode::Spin; }
-
-    /**
      * Enable the superop fast tier (default off at the engine level;
-     * the coprocessor turns it on from its config). When on, the
-     * Skip/Event/Parallel run loops may grant a component advertising
-     * a burstQuantum() a multi-cycle quantum and bulk-replay every
-     * other (provably passive) component across the window. Spin mode
-     * never bursts — it stays the pure per-cycle reference — and a
-     * run with a tracer attached never bursts either, so every output
-     * stays byte-identical with the tier on or off.
+     * the coprocessor turns it on from its config). When on, the Skip
+     * run loop may grant a component advertising a burstQuantum() a
+     * multi-cycle quantum and bulk-replay every other (provably
+     * passive) component across the window. Spin mode never bursts —
+     * it stays the pure per-cycle reference — and a run with a tracer
+     * attached never bursts either, so every output stays
+     * byte-identical with the tier on or off.
      */
     void setFastTier(bool on) { fastTier_ = on; }
     bool fastTierEnabled() const { return fastTier_; }
@@ -422,6 +372,10 @@ class Engine
     /**
      * Skip diagnostics. Deliberately NOT registered as statistics:
      * the stats JSON must be identical between spin and skip modes.
+     * fastForwards() counts the lazy replays of sleeping components;
+     * skippedCycles() counts the clock cycles the engine jumped while
+     * every component was asleep, so it never exceeds the cycles
+     * simulated.
      */
     std::uint64_t fastForwards() const { return _fastForwards; }
     std::uint64_t skippedCycles() const { return _skippedCycles; }
@@ -437,21 +391,32 @@ class Engine
   private:
     friend class Component;
 
-    /** The serial run loop: Spin (skip == false) and Skip modes. */
-    Cycle runSerial(Cycle max_cycles, bool skip);
-    /** The per-component sleep/wake scheduler (Event mode). */
-    Cycle runEvent(Cycle max_cycles);
-    /** The per-cycle worker-pool scheduler (Parallel mode). */
-    Cycle runParallel(Cycle max_cycles);
+    /** The per-cycle reference loop (Spin mode). */
+    Cycle runSpin(Cycle max_cycles);
+    /** The per-component sleep/wake scheduler (Skip mode). */
+    Cycle runSkip(Cycle max_cycles);
+
+    /** Abort with max_cycles exceeded once a run reaches its cap. */
+    void checkMaxCycles(Cycle start, Cycle max_cycles);
+    /**
+     * Watchdog expiry: a recovery handler may claim it (the idle
+     * count restarts); otherwise throw DeadlockError.
+     */
+    void watchdogExpired();
+    /**
+     * Bring sleeping components' counters and the staged trace up to
+     * date, so an abort report reads exactly like the spin run.
+     */
+    void settle();
 
     /**
-     * Event-mode wake entry point (from Component::wakeForMutation).
+     * Skip-mode wake entry point (from Component::wakeForMutation).
      * Hot-path guard inline; the replay lives in the scheduler TU.
      */
     void
     wakeComponent(unsigned slot)
     {
-        if (!eventActive_ || !sleep_[slot].asleep)
+        if (!skipActive_ || !sleep_[slot].asleep)
             return;
         wakeComponentSlow(slot);
     }
@@ -465,14 +430,14 @@ class Engine
     /**
      * Superop burst: collect every component granting a quantum, prove
      * the rest passive for the window (no progress attributed in the
-     * round just executed and a future-only nextEventAt hint — or, in
-     * event mode, asleep with a wake past the window), execute the
-     * bursters in bulk and fast-forward the passives. Returns true
-     * when a burst ran (the clock advanced); the caller re-checks the
+     * round just executed and a future-only nextEventAt hint — or
+     * asleep with a wake past the window), execute the bursters in
+     * bulk and fast-forward the awake passives. Returns true when a
+     * burst ran (the clock advanced); the caller re-checks the
      * watchdog. @p start / @p max_cycles clamp the window to the run
-     * deadline; @p event_mode applies the sleeping-slot rules.
+     * deadline.
      */
-    bool attemptBurst(Cycle start, Cycle max_cycles, bool event_mode);
+    bool attemptBurst(Cycle start, Cycle max_cycles);
 
     /** Burst windows shorter than this lose to their own setup cost. */
     static constexpr Cycle minBurstCycles = 4;
@@ -502,20 +467,21 @@ class Engine
     /** Record a failed burst attempt and schedule the next probe. */
     void burstFailed(Cycle at);
 
-    /** Per-slot scheduling state (Event mode). */
+    /** Per-slot scheduling state (Skip mode). */
     struct SleepState
     {
         Cycle wakeAt = 0;            //!< scheduled wake-up cycle
         Cycle sleptFrom = 0;         //!< first round not yet replayed
         std::uint32_t idleTicks = 0; //!< consecutive no-progress ticks
         bool asleep = false;
+        bool observer = false;       //!< overrides observesSystemAt
     };
 
     std::vector<Component *> components;
     Cycle cycle = 0;
     /**
      * Early-stop deadline for runUntil(): every run loop breaks when
-     * the clock reaches it, and every skip jump / burst window is
+     * the clock reaches it, and every all-asleep jump / burst window is
      * clamped to it so the stop lands on the exact cycle. cycleNever
      * when a plain run() is active.
      */
@@ -524,18 +490,19 @@ class Engine
      * Cycles of idleness (cycle - lastProgress) carried across a
      * runUntil() boundary. Run loops normally reset their idle
      * baseline at entry; consuming this carry instead keeps watchdog
-     * expiry and skip hysteresis on the same cycles as an
+     * expiry on the same cycles as an
      * uninterrupted run. Zero after natural completion, so multi-run
      * callers (the serve shards) are unaffected.
      */
     Cycle idleCarry_ = 0;
     Cycle watchdogCycles;
     WatchdogHandler watchdogHandler;
-    std::atomic<bool> progressed{false};
+    bool progressed = false;
     EngineMode _mode = EngineMode::Skip;
-    unsigned _threads = 0;
     std::vector<SleepState> sleep_;
-    bool eventActive_ = false;
+    unsigned awake_ = 0; //!< slots not asleep (Skip mode)
+    bool skipActive_ = false;
+    /** Slot being ticked (progress attribution, wake horizons). */
     unsigned currentSlot_ = 0;
     Cycle lastProgress = 0;
     std::uint64_t _fastForwards = 0;
@@ -550,8 +517,6 @@ class Engine
     std::uint64_t _burstAttempts = 0;
     std::uint64_t _bursts = 0;
     std::uint64_t _burstCycles = 0;
-    /** Slot of the component the current thread is ticking. */
-    static thread_local unsigned tlsSlot_;
     trace::Tracer *_tracer = nullptr;
     stats::StatGroup statGroup;
     stats::Counter statCycles;

@@ -1,9 +1,9 @@
 /**
  * @file
- * The event and parallel run loops of sim::Engine (see engine.hh for
- * the mode overview), plus the lazy-replay machinery they share.
+ * The Skip-mode run loop of sim::Engine (see engine.hh for the mode
+ * overview) and its lazy-replay machinery.
  *
- * Event mode invariants:
+ * Invariants:
  *  - A component sleeps only on its own nextEventAt hint, which is
  *    valid "assuming no other component does anything before then".
  *    Every externally visible mutation of a component's state funnels
@@ -17,21 +17,10 @@
  *    earlier slot wakes it in time to tick live this round.
  *  - Observers (Component::observesSystemAt, i.e. the stats sampler)
  *    force a full catch-up before they tick, so counters they
- *    snapshot match the serial run.
- *
- * Parallel mode ticks the serial components in registration order on
- * the main thread every cycle, then shards the independent() tail (the
- * cells) across a spin-barrier worker pool; quiescent stretches are
- * skipped exactly as in Skip mode, serially. Determinism needs no
- * cleverness: cells never touch each other's state, the host never
- * runs concurrently with them, and trace events are staged per slot
- * and merged in (cycle, slot) order.
+ *    snapshot match the spin run.
  */
 
 #include <algorithm>
-#include <exception>
-#include <mutex>
-#include <thread>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -40,40 +29,6 @@
 
 namespace opac::sim
 {
-
-namespace
-{
-
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#else
-    std::this_thread::yield();
-#endif
-}
-
-/**
- * Spin up to `spin_budget` pause iterations, then yield. Cell rounds
- * are typically sub-µs, so on a machine with a core per shard a large
- * budget keeps the handshake in user space; when shards outnumber
- * cores the waited-for thread cannot run until we yield, so the
- * caller passes a tiny budget and we donate the core almost at once.
- */
-template <typename Pred>
-void
-spinUntil(Pred &&pred, unsigned spin_budget = 1u << 12)
-{
-    for (unsigned spins = 0; !pred(); ++spins) {
-        if (spins < spin_budget)
-            cpuRelax();
-        else
-            std::this_thread::yield();
-    }
-}
-
-} // anonymous namespace
 
 void
 Engine::replaySlot(unsigned slot, Cycle upTo)
@@ -95,7 +50,6 @@ Engine::replaySlot(unsigned slot, Cycle upTo)
     }
     ss.sleptFrom = upTo;
     ++_fastForwards;
-    _skippedCycles += count;
 }
 
 void
@@ -110,6 +64,7 @@ Engine::wakeComponentSlow(unsigned slot)
     replaySlot(slot, slot < currentSlot_ ? cycle + 1 : cycle);
     ss.asleep = false;
     ss.idleTicks = 0;
+    ++awake_;
 }
 
 void
@@ -124,14 +79,31 @@ Engine::catchUpAll(Cycle upTo)
     }
 }
 
+void
+Engine::settle()
+{
+    if (!skipActive_)
+        return;
+    catchUpAll(cycle);
+    if (_tracer)
+        _tracer->flushOrdered(Component::noEvent);
+}
+
 Cycle
-Engine::runEvent(Cycle max_cycles)
+Engine::runSkip(Cycle max_cycles)
 {
     Cycle start = cycle;
     lastProgress = cycle - std::min(idleCarry_, cycle);
     idleCarry_ = 0;
     const unsigned n = static_cast<unsigned>(components.size());
     sleep_.assign(n, SleepState{});
+    awake_ = n;
+    // Polled once: only observers return a finite cycle, and they do
+    // from every call.
+    for (unsigned s = 0; s < n; ++s) {
+        sleep_[s].observer =
+            components[s]->observesSystemAt(cycle) != Component::noEvent;
+    }
     currentSlot_ = 0;
     const bool ordered = _tracer != nullptr;
     // Superop bursts: an awake streaming component can take a
@@ -148,49 +120,21 @@ Engine::runEvent(Cycle max_cycles)
     }
     if (ordered)
         _tracer->beginOrdered(n);
-    eventActive_ = true;
+    skipActive_ = true;
     struct Guard
     {
         Engine &e;
         bool ordered;
         ~Guard()
         {
-            e.eventActive_ = false;
+            e.skipActive_ = false;
             if (ordered && e._tracer)
                 e._tracer->endOrdered();
         }
     } guard{*this, ordered};
 
-    // Bring counters and the staged trace up to date so an abort
-    // report (or the final stats) reads exactly like the serial run.
-    auto settle = [&] {
-        catchUpAll(cycle);
-        if (ordered)
-            _tracer->flushOrdered(Component::noEvent);
-    };
-    auto watchdogExpired = [&] {
-        if (watchdogHandler && watchdogHandler(*this)) {
-            lastProgress = cycle;
-            return;
-        }
-        settle();
-        throw DeadlockError(
-            "engine", cycle,
-            strfmt("deadlock: no progress for %llu cycles "
-                   "(engine mode event)\n%s",
-                   static_cast<unsigned long long>(watchdogCycles),
-                   statusDump().c_str()));
-    };
-
     while (!allDone() && cycle < stopAt_) {
-        if (max_cycles != 0 && cycle - start >= max_cycles) {
-            settle();
-            opac_fatal("simulation exceeded max_cycles = %llu "
-                       "(%llu cycles simulated)\n%s",
-                       static_cast<unsigned long long>(max_cycles),
-                       static_cast<unsigned long long>(cycle - start),
-                       statusDump().c_str());
-        }
+        checkMaxCycles(start, max_cycles);
         bool roundProgress = false;
         if (burst)
             std::fill(slotProg_.begin(), slotProg_.end(),
@@ -205,23 +149,25 @@ Engine::runEvent(Cycle max_cycles)
                 replaySlot(s, cycle);
                 ss.asleep = false;
                 ss.idleTicks = 0;
+                ++awake_;
             }
             currentSlot_ = s;
-            tlsSlot_ = s;
             Component *c = components[s];
-            if (c->observesSystemAt(cycle) == cycle)
+            if (ss.observer && c->observesSystemAt(cycle) == cycle)
                 catchUpAll(cycle);
             if (ordered)
                 trace::Tracer::setEmitSlot(s);
-            progressed.store(false, std::memory_order_relaxed);
+            progressed = false;
             c->tick(*this);
-            if (progressed.load(std::memory_order_relaxed)) {
+            if (progressed) {
                 roundProgress = true;
                 ss.idleTicks = 0;
                 continue;
             }
-            // Same two-quiescent-rounds hysteresis as the serial skip
-            // loop, applied per component.
+            // Sleep only after two consecutive quiescent rounds:
+            // components that alternate progress and one-cycle stalls
+            // (a host feeding at tau = 2) would otherwise pay for hint
+            // computation every other cycle and never sleep for long.
             if (++ss.idleTicks < 2)
                 continue;
             Cycle at = c->nextEventAt(cycle + 1);
@@ -229,6 +175,7 @@ Engine::runEvent(Cycle max_cycles)
                 ss.asleep = true;
                 ss.wakeAt = at;
                 ss.sleptFrom = cycle + 1;
+                --awake_;
             }
         }
         ++cycle;
@@ -255,25 +202,19 @@ Engine::runEvent(Cycle max_cycles)
             _tracer->flushOrdered(watermark);
         }
         if (burst && roundProgress && cycle >= nextBurstTry_
-            && attemptBurst(start, max_cycles, true)) {
+            && attemptBurst(start, max_cycles)) {
             if (watchdogCycles != 0
                 && cycle - lastProgress >= watchdogCycles)
                 watchdogExpired();
             continue;
         }
-        bool allAsleep = true;
-        for (const SleepState &ss : sleep_) {
-            if (!ss.asleep) {
-                allAsleep = false;
-                break;
-            }
-        }
-        if (!allAsleep)
+        if (awake_ != 0)
             continue;
         // Every component is asleep: all rounds up to the earliest
         // wake-up are idle replicas, so jump there in one step (the
         // sleepers replay lazily on wake as usual). Clamped to the
-        // watchdog and max_cycles deadlines, like the serial jump.
+        // watchdog, max_cycles and runUntil deadlines so each fires at
+        // exactly the cycle the spin run reaches it.
         Cycle target = Component::noEvent;
         for (const SleepState &ss : sleep_)
             target = std::min(target, ss.wakeAt);
@@ -289,7 +230,7 @@ Engine::runEvent(Cycle max_cycles)
             throw DeadlockError(
                 "engine", cycle,
                 strfmt("deadlock: every component asleep with no "
-                       "wake-up (engine mode event)\n%s",
+                       "wake-up (engine mode skip)\n%s",
                        statusDump().c_str()));
         }
         if (target > cycle) {
@@ -297,240 +238,12 @@ Engine::runEvent(Cycle max_cycles)
             cycle = target;
             statCycles += skip_n;
             statIdleCycles += skip_n;
+            _skippedCycles += skip_n;
         }
         if (watchdogCycles != 0 && cycle - lastProgress >= watchdogCycles)
             watchdogExpired();
     }
     catchUpAll(cycle);
-    return cycle - start;
-}
-
-Cycle
-Engine::runParallel(Cycle max_cycles)
-{
-    const unsigned n = static_cast<unsigned>(components.size());
-    unsigned firstIndep = 0;
-    while (firstIndep < n && !components[firstIndep]->independent())
-        ++firstIndep;
-    for (unsigned i = firstIndep; i < n; ++i) {
-        opac_assert(components[i]->independent(),
-                    "independent components must be registered after "
-                    "every serial one");
-    }
-    const unsigned ncells = n - firstIndep;
-    unsigned nshards =
-        _threads != 0 ? _threads
-                      : std::max(1u, std::thread::hardware_concurrency());
-    nshards = std::min(nshards, ncells);
-    if (nshards <= 1)
-        return runSerial(max_cycles, true);
-
-    const bool ordered = _tracer != nullptr;
-    // Superop bursts execute serially on the main thread between
-    // barrier rounds (the workers spin idle through them), so the
-    // one-cycle barrier contract of the live rounds is untouched.
-    // Attribution writes from the workers land in distinct slotProg_
-    // bytes and the per-round barrier orders them against the main
-    // thread's burst-attempt reads.
-    const bool burst = fastTier_ && !ordered;
-    attributeProgress_ = burst;
-    if (burst) {
-        slotProg_.assign(n, 0);
-        nextBurstTry_ = cycle;
-        burstFailStreak_ = 0;
-    }
-    if (ordered)
-        _tracer->beginOrdered(n);
-
-    // Even contiguous shards; the assignment has no effect on output
-    // (the trace merge is by slot, stats are per-component).
-    auto shardBegin = [&](unsigned s) {
-        return firstIndep + s * ncells / nshards;
-    };
-    auto tickRange = [&](unsigned lo, unsigned hi) {
-        for (unsigned i = lo; i < hi; ++i) {
-            if (ordered)
-                trace::Tracer::setEmitSlot(i);
-            tlsSlot_ = i;
-            components[i]->tick(*this);
-        }
-    };
-
-    // Spin-barrier pool: the main thread release-bumps `epoch` to
-    // start a round (after writing the new cycle state), each worker
-    // ticks its shard and release-bumps `doneCount`, and the main
-    // thread acquire-spins until all shards are in. The two atomic
-    // handshakes carry all cross-thread visibility.
-    std::atomic<std::uint64_t> epoch{0};
-    std::atomic<unsigned> doneCount{0};
-    std::atomic<bool> stop{false};
-    std::mutex errLock;
-    std::exception_ptr errPtr;
-    unsigned errShard = 0;
-
-    // Oversubscribed (more shards than cores, e.g. a 1-CPU CI box):
-    // spinning only delays the thread we are waiting for, so yield
-    // almost immediately instead of burning the shared core.
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned spinBudget = nshards > hw ? 16u : 1u << 12;
-
-    auto workerFn = [&](unsigned shard) {
-        const unsigned lo = shardBegin(shard), hi = shardBegin(shard + 1);
-        std::uint64_t seen = 0;
-        for (;;) {
-            spinUntil([&] {
-                return epoch.load(std::memory_order_acquire) != seen;
-            }, spinBudget);
-            ++seen;
-            if (stop.load(std::memory_order_acquire))
-                break;
-            try {
-                tickRange(lo, hi);
-            } catch (...) {
-                std::lock_guard<std::mutex> g(errLock);
-                if (!errPtr || shard < errShard) {
-                    errPtr = std::current_exception();
-                    errShard = shard;
-                }
-            }
-            doneCount.fetch_add(1, std::memory_order_release);
-        }
-    };
-
-    std::vector<std::thread> pool;
-    struct PoolGuard
-    {
-        Engine &e;
-        std::vector<std::thread> &pool;
-        std::atomic<bool> &stop;
-        std::atomic<std::uint64_t> &epoch;
-        bool ordered;
-        ~PoolGuard()
-        {
-            stop.store(true, std::memory_order_release);
-            epoch.fetch_add(1, std::memory_order_release);
-            for (auto &t : pool)
-                t.join();
-            if (ordered && e._tracer)
-                e._tracer->endOrdered();
-        }
-    } guard{*this, pool, stop, epoch, ordered};
-    pool.reserve(nshards - 1);
-    for (unsigned w = 0; w + 1 < nshards; ++w)
-        pool.emplace_back(workerFn, w);
-
-    Cycle start = cycle;
-    lastProgress = cycle - std::min(idleCarry_, cycle);
-    idleCarry_ = 0;
-    auto watchdogExpired = [&] {
-        if (watchdogHandler && watchdogHandler(*this)) {
-            lastProgress = cycle;
-            return;
-        }
-        if (ordered)
-            _tracer->flushOrdered(Component::noEvent);
-        throw DeadlockError(
-            "engine", cycle,
-            strfmt("deadlock: no progress for %llu cycles "
-                   "(engine mode parallel)\n%s",
-                   static_cast<unsigned long long>(watchdogCycles),
-                   statusDump().c_str()));
-    };
-    while (!allDone() && cycle < stopAt_) {
-        if (max_cycles != 0 && cycle - start >= max_cycles) {
-            if (ordered)
-                _tracer->flushOrdered(Component::noEvent);
-            opac_fatal("simulation exceeded max_cycles = %llu "
-                       "(%llu cycles simulated)\n%s",
-                       static_cast<unsigned long long>(max_cycles),
-                       static_cast<unsigned long long>(cycle - start),
-                       statusDump().c_str());
-        }
-        progressed.store(false, std::memory_order_relaxed);
-        if (burst)
-            std::fill(slotProg_.begin(), slotProg_.end(),
-                      std::uint8_t(0));
-        // Serial phase: sampler, injector, host — anything that may
-        // touch cell state runs alone.
-        for (unsigned i = 0; i < firstIndep; ++i) {
-            if (ordered)
-                trace::Tracer::setEmitSlot(i);
-            tlsSlot_ = i;
-            components[i]->tick(*this);
-        }
-        // Parallel phase: fan the cell shards out, tick the last one
-        // here, and wait for the rest.
-        doneCount.store(0, std::memory_order_relaxed);
-        epoch.fetch_add(1, std::memory_order_release);
-        tickRange(shardBegin(nshards - 1), shardBegin(nshards));
-        spinUntil([&] {
-            return doneCount.load(std::memory_order_acquire)
-                   == nshards - 1;
-        }, spinBudget);
-        if (errPtr)
-            std::rethrow_exception(errPtr);
-        ++cycle;
-        ++statCycles;
-        if (progressed.load(std::memory_order_relaxed)) {
-            lastProgress = cycle;
-            if (ordered)
-                _tracer->flushOrdered(cycle);
-            if (burst && cycle >= nextBurstTry_
-                && attemptBurst(start, max_cycles, false)
-                && watchdogCycles != 0
-                && cycle - lastProgress >= watchdogCycles)
-                watchdogExpired();
-            continue;
-        }
-        ++statIdleCycles;
-        if (watchdogCycles != 0 && cycle - lastProgress >= watchdogCycles)
-            watchdogExpired();
-        if (ordered)
-            _tracer->flushOrdered(cycle);
-        if (cycle - lastProgress < 2)
-            continue;
-
-        // Quiescent: identical jump logic to the serial skip loop,
-        // executed on the main thread while the workers wait.
-        Cycle target = Component::noEvent;
-        for (const auto *c : components) {
-            Cycle at = c->nextEventAt(cycle);
-            if (at <= cycle) {
-                target = cycle;
-                break;
-            }
-            target = std::min(target, at);
-        }
-        if (watchdogCycles != 0)
-            target = std::min(target, lastProgress + watchdogCycles);
-        if (max_cycles != 0)
-            target = std::min(target, start + max_cycles);
-        target = std::min(target, stopAt_);
-        if (target == Component::noEvent || target < cycle + 2)
-            continue;
-
-        Cycle skip_n = target - cycle;
-        if (_tracer) {
-            for (Cycle k = 0; k < skip_n; ++k) {
-                for (unsigned i = 0; i < n; ++i) {
-                    trace::Tracer::setEmitSlot(i);
-                    components[i]->fastForward(cycle + k, 1, *this);
-                }
-            }
-        } else {
-            for (auto *c : components)
-                c->fastForward(cycle, skip_n, *this);
-        }
-        cycle = target;
-        statCycles += skip_n;
-        statIdleCycles += skip_n;
-        ++_fastForwards;
-        _skippedCycles += skip_n;
-        if (ordered)
-            _tracer->flushOrdered(cycle);
-        if (watchdogCycles != 0 && cycle - lastProgress >= watchdogCycles)
-            watchdogExpired();
-    }
     return cycle - start;
 }
 

@@ -69,14 +69,14 @@ class Sampler : public sim::Component
 
     /**
      * On a boundary cycle the sampler reads every counter in the
-     * system: the event engine must replay all sleeping components up
+     * system: the skip engine must replay all sleeping components up
      * to that cycle first, so the snapshot sees the same values a
      * tick-everything engine would have accumulated.
      */
     Cycle
     observesSystemAt(Cycle now) const override
     {
-        return now % _interval == 0 ? now : noEvent;
+        return nextEventAt(now);
     }
 
     /**

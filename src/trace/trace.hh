@@ -172,9 +172,9 @@ class Tracer
 
     /**
      * Enter ordered-delivery mode with @p slots staging queues — one
-     * per engine component slot. Used by the event and parallel engine
-     * schedulers, where components emit out of serial order (lazy
-     * replay of slept cycles, concurrent cell ticks): each emission is
+     * per engine component slot. Used by the skip engine scheduler,
+     * where components emit out of serial order (lazy replay of
+     * slept cycles): each emission is
      * tagged with the emitting component's slot (setEmitSlot) and
      * buffered; flushOrdered() releases events to the sinks in
      * (cycle, slot, per-slot emission order) — byte-identical to the

@@ -1,12 +1,11 @@
 /**
  * @file
- * Golden-equivalence suite for the two-level scheduler: every engine
- * mode (spin, skip, event, parallel) must produce bit-identical
- * results — same cycle count, same statistics JSON (including the
- * sampled time series), same trace event stream — on every workload,
- * with and without active fault injection. Parallel-mode runs at
- * P >= 4 with a real worker pool are the TSan target for the sharded
- * cell execution.
+ * Golden-equivalence suite for the engine modes: the per-component
+ * skip scheduler must produce results bit-identical to the spin
+ * reference — same cycle count, same statistics JSON (including the
+ * sampled time series), same trace event stream — on every workload at
+ * P = 4, with and without active fault injection, with the superop
+ * fast tier on or off.
  */
 
 #include <gtest/gtest.h>
@@ -72,18 +71,16 @@ const char *kFaultSpec =
     "seed=7,rate=500,horizon=20000,kinds=flip+hang+mem,bits=1";
 
 RunOut
-runWorkload(Workload w, unsigned p, EngineMode mode, unsigned threads,
-            bool traced, bool faulted, bool fast_tier = true)
+runWorkload(Workload w, unsigned p, EngineMode mode, bool traced,
+            bool faulted, bool fast_tier = true)
 {
     CoprocConfig cfg;
     cfg.cells = p;
     cfg.cell.tf = 256;
     cfg.host.tau = 2;
     cfg.watchdogCycles = 500000;
-    cfg.skipIdleCycles = true;
     cfg.statsSampleInterval = 64;
     cfg.engineMode = mode;
-    cfg.simThreads = threads;
     cfg.fastTier = fast_tier;
     if (faulted) {
         cfg.faults = fault::parseFaultSpec(kFaultSpec);
@@ -158,109 +155,80 @@ expectSameEvents(const std::vector<trace::Event> &ref,
     }
 }
 
-const EngineMode kFastModes[] = {EngineMode::Skip, EngineMode::Event,
-                                 EngineMode::Parallel};
+const EngineMode kModes[] = {EngineMode::Spin, EngineMode::Skip};
 
 } // anonymous namespace
 
 // ---------------------------------------------------------------------
-// Four-mode golden equivalence
+// Spin vs skip golden equivalence
 // ---------------------------------------------------------------------
 
-TEST(EngineModes, EveryWorkloadMatchesSpinInEveryMode)
+TEST(EngineModes, EveryWorkloadMatchesSpinUnderSkip)
 {
     const Workload loads[] = {Workload::MatUpdate, Workload::Lu,
                               Workload::Trmm, Workload::Syrk};
     for (Workload w : loads) {
-        RunOut spin = runWorkload(w, 4, EngineMode::Spin, 0, false,
-                                  false);
-        for (EngineMode m : kFastModes) {
-            RunOut got = runWorkload(w, 4, m, 4, false, false);
-            EXPECT_EQ(spin.cycles, got.cycles)
-                << workloadName(w) << " mode=" << sim::engineModeName(m);
-            EXPECT_EQ(spin.statsJson, got.statsJson)
-                << workloadName(w) << " mode=" << sim::engineModeName(m);
-        }
+        RunOut spin = runWorkload(w, 4, EngineMode::Spin, false, false);
+        RunOut got = runWorkload(w, 4, EngineMode::Skip, false, false);
+        EXPECT_EQ(spin.cycles, got.cycles) << workloadName(w);
+        EXPECT_EQ(spin.statsJson, got.statsJson) << workloadName(w);
     }
 }
 
-TEST(EngineModes, TraceStreamIsIdenticalInEveryMode)
+TEST(EngineModes, TraceStreamIsIdenticalUnderSkip)
 {
-    // The staged per-slot trace merge must reproduce the serial event
+    // The staged per-slot trace merge must reproduce the spin event
     // ORDER, not just the same multiset of events.
     const Workload loads[] = {Workload::MatUpdate, Workload::Lu};
     for (Workload w : loads) {
-        RunOut spin = runWorkload(w, 4, EngineMode::Spin, 0, true,
-                                  false);
-        for (EngineMode m : kFastModes) {
-            RunOut got = runWorkload(w, 4, m, 4, true, false);
-            EXPECT_EQ(spin.cycles, got.cycles) << workloadName(w);
-            std::string what = std::string(workloadName(w)) + " mode="
-                               + sim::engineModeName(m);
-            expectSameEvents(spin.events, got.events, what.c_str());
-        }
+        RunOut spin = runWorkload(w, 4, EngineMode::Spin, true, false);
+        RunOut got = runWorkload(w, 4, EngineMode::Skip, true, false);
+        EXPECT_EQ(spin.cycles, got.cycles) << workloadName(w);
+        expectSameEvents(spin.events, got.events, workloadName(w));
     }
 }
 
-TEST(EngineModes, FaultedRunsMatchInEveryMode)
+TEST(EngineModes, FaultedRunsMatchUnderSkip)
 {
     // Injected flips, hangs and memory-latency spikes exercise every
     // wake-before-mutation hook; the stats JSON (fault counters,
     // recovery actions, sampled series) must not depend on the mode.
     RunOut spin = runWorkload(Workload::MatUpdate, 4, EngineMode::Spin,
-                              0, true, true);
-    for (EngineMode m : kFastModes) {
-        RunOut got = runWorkload(Workload::MatUpdate, 4, m, 4, true,
-                                 true);
-        EXPECT_EQ(spin.cycles, got.cycles)
-            << "mode=" << sim::engineModeName(m);
-        EXPECT_EQ(spin.statsJson, got.statsJson)
-            << "mode=" << sim::engineModeName(m);
-        std::string what =
-            std::string("faulted mode=") + sim::engineModeName(m);
-        expectSameEvents(spin.events, got.events, what.c_str());
-    }
+                              true, true);
+    RunOut got = runWorkload(Workload::MatUpdate, 4, EngineMode::Skip,
+                             true, true);
+    EXPECT_EQ(spin.cycles, got.cycles);
+    EXPECT_EQ(spin.statsJson, got.statsJson);
+    expectSameEvents(spin.events, got.events, "faulted");
 }
 
 TEST(EngineModes, SamplerSeriesIsPresentAndModeIndependent)
 {
     // The periodic sampler must fire on the same engine cycles in
-    // every mode (observesSystemAt forces a full catch-up first), so
+    // both modes (observesSystemAt forces a full catch-up first), so
     // the sampled series is part of the byte-identical contract.
-    RunOut spin = runWorkload(Workload::Lu, 2, EngineMode::Spin, 0,
-                              false, false);
+    RunOut spin = runWorkload(Workload::Lu, 2, EngineMode::Spin, false,
+                              false);
     ASSERT_NE(spin.statsJson.find("\"samples\""), std::string::npos);
-    for (EngineMode m : kFastModes) {
-        RunOut got = runWorkload(Workload::Lu, 2, m, 4, false, false);
-        EXPECT_EQ(spin.statsJson, got.statsJson)
-            << "mode=" << sim::engineModeName(m);
-    }
+    RunOut got = runWorkload(Workload::Lu, 2, EngineMode::Skip, false,
+                             false);
+    EXPECT_EQ(spin.statsJson, got.statsJson);
 }
 
 // ---------------------------------------------------------------------
 // Mode-specific behaviour
 // ---------------------------------------------------------------------
 
-TEST(EngineModes, EventModeSleepsOnStallHeavyRuns)
+TEST(EngineModes, SkipModeSleepsOnStallHeavyRuns)
 {
     // LU quiesces the whole system at every pivot step; per-component
-    // sleeping must engage there or event mode is dead code.
-    RunOut ev = runWorkload(Workload::Lu, 1, EngineMode::Event, 0,
-                            false, false);
-    EXPECT_GT(ev.fastForwards, 0u);
-    EXPECT_GT(ev.skippedCycles, 0u);
-}
-
-TEST(EngineModes, ParallelFallsBackToSerialWithOneShard)
-{
-    // One cell cannot be sharded: the parallel runner must degrade to
-    // the serial skip loop and still match spin exactly.
-    RunOut spin = runWorkload(Workload::MatUpdate, 1, EngineMode::Spin,
-                              0, false, false);
-    RunOut par = runWorkload(Workload::MatUpdate, 1,
-                             EngineMode::Parallel, 4, false, false);
-    EXPECT_EQ(spin.cycles, par.cycles);
-    EXPECT_EQ(spin.statsJson, par.statsJson);
+    // sleeping and the all-asleep jump must engage there or the skip
+    // scheduler is dead code.
+    RunOut sk = runWorkload(Workload::Lu, 1, EngineMode::Skip, false,
+                            false);
+    EXPECT_GT(sk.fastForwards, 0u);
+    EXPECT_GT(sk.skippedCycles, 0u);
+    EXPECT_LE(sk.skippedCycles, sk.cycles);
 }
 
 // ---------------------------------------------------------------------
@@ -269,21 +237,18 @@ TEST(EngineModes, ParallelFallsBackToSerialWithOneShard)
 //
 // The fast tier is a pure wall-clock optimization: with it on or off,
 // cycles, stats JSON (sampled series included) and trace streams must
-// be byte-identical in every engine mode. fastForwards/skippedCycles
+// be byte-identical in both engine modes. fastForwards/skippedCycles
 // are engine diagnostics and legitimately differ — never compare them
 // across tier settings.
 
 TEST(FastTier, OnMatchesOffInEveryModeEveryWorkload)
 {
-    const EngineMode modes[] = {EngineMode::Spin, EngineMode::Skip,
-                                EngineMode::Event,
-                                EngineMode::Parallel};
     const Workload loads[] = {Workload::MatUpdate, Workload::Lu,
                               Workload::Trmm, Workload::Syrk};
     for (Workload w : loads) {
-        for (EngineMode m : modes) {
-            RunOut off = runWorkload(w, 4, m, 4, false, false, false);
-            RunOut on = runWorkload(w, 4, m, 4, false, false, true);
+        for (EngineMode m : kModes) {
+            RunOut off = runWorkload(w, 4, m, false, false, false);
+            RunOut on = runWorkload(w, 4, m, false, false, true);
             EXPECT_EQ(off.cycles, on.cycles)
                 << workloadName(w) << " mode=" << sim::engineModeName(m);
             EXPECT_EQ(off.statsJson, on.statsJson)
@@ -297,14 +262,11 @@ TEST(FastTier, TracedRunsMatchOnVsOffInEveryMode)
     // With a tracer attached the tier refuses every burst (observers
     // need per-cycle event edges), but the flag must still be inert:
     // identical cycles, stats and event ORDER either way.
-    const EngineMode modes[] = {EngineMode::Spin, EngineMode::Skip,
-                                EngineMode::Event,
-                                EngineMode::Parallel};
-    for (EngineMode m : modes) {
-        RunOut off = runWorkload(Workload::MatUpdate, 4, m, 4, true,
-                                 false, false);
-        RunOut on = runWorkload(Workload::MatUpdate, 4, m, 4, true,
-                                false, true);
+    for (EngineMode m : kModes) {
+        RunOut off = runWorkload(Workload::MatUpdate, 4, m, true, false,
+                                 false);
+        RunOut on = runWorkload(Workload::MatUpdate, 4, m, true, false,
+                                true);
         EXPECT_EQ(off.cycles, on.cycles)
             << "mode=" << sim::engineModeName(m);
         EXPECT_EQ(off.statsJson, on.statsJson)
@@ -321,14 +283,11 @@ TEST(FastTier, FaultedRunsMatchOnVsOffInEveryMode)
     // horizon must clamp every burst window, armed faults must refuse
     // streaming, and recovery hangs must freeze the fallback path —
     // or the faulted timeline diverges between tier settings.
-    const EngineMode modes[] = {EngineMode::Spin, EngineMode::Skip,
-                                EngineMode::Event,
-                                EngineMode::Parallel};
-    for (EngineMode m : modes) {
-        RunOut off = runWorkload(Workload::MatUpdate, 4, m, 4, false,
-                                 true, false);
-        RunOut on = runWorkload(Workload::MatUpdate, 4, m, 4, false,
-                                true, true);
+    for (EngineMode m : kModes) {
+        RunOut off = runWorkload(Workload::MatUpdate, 4, m, false, true,
+                                 false);
+        RunOut on = runWorkload(Workload::MatUpdate, 4, m, false, true,
+                                true);
         EXPECT_EQ(off.cycles, on.cycles)
             << "mode=" << sim::engineModeName(m);
         EXPECT_EQ(off.statsJson, on.statsJson)
@@ -342,9 +301,9 @@ TEST(FastTier, FaultedTracedRunsMatchOnVsOff)
     // while the fault machinery runs — stats, cycles and the full
     // event stream must be identical on vs off.
     RunOut off = runWorkload(Workload::MatUpdate, 4, EngineMode::Skip,
-                             0, true, true, false);
+                             true, true, false);
     RunOut on = runWorkload(Workload::MatUpdate, 4, EngineMode::Skip,
-                            0, true, true, true);
+                            true, true, true);
     EXPECT_EQ(off.cycles, on.cycles);
     EXPECT_EQ(off.statsJson, on.statsJson);
     expectSameEvents(off.events, on.events, "faulted traced tier");
@@ -355,24 +314,23 @@ TEST(FastTier, BurstsEngageOnSteadyStreamingLoops)
     // The tier must actually fire on its target workload (untraced
     // streaming matrix update) or the whole fast path is dead code.
     RunOut on = runWorkload(Workload::MatUpdate, 1, EngineMode::Skip,
-                            0, false, false, true);
+                            false, false, true);
     EXPECT_GT(on.bursts, 0u);
     RunOut off = runWorkload(Workload::MatUpdate, 1, EngineMode::Skip,
-                             0, false, false, false);
+                             false, false, false);
     EXPECT_EQ(off.bursts, 0u);
 }
 
 TEST(EngineModes, ParseAndNameRoundTrip)
 {
-    const EngineMode modes[] = {EngineMode::Spin, EngineMode::Skip,
-                                EngineMode::Event,
-                                EngineMode::Parallel};
-    for (EngineMode m : modes) {
+    for (EngineMode m : kModes) {
         EngineMode back;
         ASSERT_TRUE(sim::parseEngineMode(sim::engineModeName(m), back));
         EXPECT_EQ(m, back);
     }
     EngineMode out;
     EXPECT_FALSE(sim::parseEngineMode("warp", out));
+    EXPECT_FALSE(sim::parseEngineMode("event", out));
+    EXPECT_FALSE(sim::parseEngineMode("parallel", out));
     EXPECT_FALSE(sim::parseEngineMode("", out));
 }

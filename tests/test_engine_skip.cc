@@ -1,7 +1,7 @@
 /**
  * @file
  * Golden-equivalence suite for idle-cycle skipping: for every workload
- * and configuration, a skip-mode run must be bit-identical to the
+ * and machine shape, a skip-mode run must be bit-identical to the
  * spin-mode run — same cycle count, same statistics JSON (including
  * the sampled time series), same trace event stream. Also covers the
  * parallel sweep runner: a multi-threaded sweep must produce exactly
@@ -24,6 +24,7 @@ using namespace opac;
 using namespace opac::planner;
 using copro::CoprocConfig;
 using copro::Coprocessor;
+using sim::EngineMode;
 
 namespace
 {
@@ -63,14 +64,14 @@ struct RunOut
 
 RunOut
 runWorkload(Workload w, unsigned p, std::size_t tf, unsigned tau,
-            bool skip, bool traced)
+            EngineMode mode, bool traced)
 {
     CoprocConfig cfg;
     cfg.cells = p;
     cfg.cell.tf = tf;
     cfg.host.tau = tau;
     cfg.watchdogCycles = 500000;
-    cfg.skipIdleCycles = skip;
+    cfg.engineMode = mode;
     cfg.statsSampleInterval = 64;
     Coprocessor sys(cfg);
     kernels::installStandardKernels(sys);
@@ -160,8 +161,10 @@ TEST(EngineSkip, EveryWorkloadMatchesSpinExactly)
     const Shape shapes[] = {{1, 512, 2}, {4, 256, 2}, {2, 512, 4}};
     for (Workload w : loads) {
         for (const Shape &s : shapes) {
-            RunOut spin = runWorkload(w, s.p, s.tf, s.tau, false, false);
-            RunOut fast = runWorkload(w, s.p, s.tf, s.tau, true, false);
+            RunOut spin = runWorkload(w, s.p, s.tf, s.tau, EngineMode::Spin,
+                                      false);
+            RunOut fast = runWorkload(w, s.p, s.tf, s.tau, EngineMode::Skip,
+                                      false);
             EXPECT_EQ(spin.cycles, fast.cycles)
                 << workloadName(w) << " P=" << s.p << " tau=" << s.tau;
             EXPECT_EQ(spin.statsJson, fast.statsJson)
@@ -177,8 +180,8 @@ TEST(EngineSkip, TraceStreamIsIdenticalUnderSkipping)
     // just the same set of events.
     const Workload loads[] = {Workload::MatUpdate, Workload::Lu};
     for (Workload w : loads) {
-        RunOut spin = runWorkload(w, 2, 256, 4, false, true);
-        RunOut fast = runWorkload(w, 2, 256, 4, true, true);
+        RunOut spin = runWorkload(w, 2, 256, 4, EngineMode::Spin, true);
+        RunOut fast = runWorkload(w, 2, 256, 4, EngineMode::Skip, true);
         EXPECT_EQ(spin.cycles, fast.cycles) << workloadName(w);
         expectSameEvents(spin.events, fast.events, workloadName(w));
     }
@@ -189,18 +192,17 @@ TEST(EngineSkip, SkippingActuallyHappensOnStallHeavyRuns)
     // LU's pivot recurrence serializes a scale pass behind the FP
     // pipeline drain, quiescing the whole system for several cycles at
     // every step; if the engine never fast-forwards there, the feature
-    // is dead code and this suite proves nothing. (Streaming updates
-    // like matupdate keep the cell busy every cycle — those runs skip
-    // nothing, by design.)
-    RunOut fast = runWorkload(Workload::Lu, 1, 512, 4, true, false);
+    // is dead code and this suite proves nothing.
+    RunOut fast = runWorkload(Workload::Lu, 1, 512, 4, EngineMode::Skip,
+                              false);
     EXPECT_GT(fast.fastForwards, 0u);
     EXPECT_GT(fast.skippedCycles, 0u);
 }
 
 TEST(EngineSkip, SkipDiagnosticsStayOutOfStatsJson)
 {
-    RunOut fast = runWorkload(Workload::MatUpdate, 1, 512, 4, true,
-                              false);
+    RunOut fast = runWorkload(Workload::MatUpdate, 1, 512, 4,
+                              EngineMode::Skip, false);
     EXPECT_EQ(fast.statsJson.find("fastForward"), std::string::npos);
     EXPECT_EQ(fast.statsJson.find("skippedCycles"), std::string::npos);
 }
@@ -221,7 +223,8 @@ TEST(SweepRunner, ParallelResultsMatchSerialInOrder)
     for (Workload w : loads) {
         for (unsigned p : {1u, 2u}) {
             tasks.push_back([w, p] {
-                return runWorkload(w, p, 256, 2, true, false).cycles;
+                return runWorkload(w, p, 256, 2, EngineMode::Skip, false)
+                    .cycles;
             });
         }
     }

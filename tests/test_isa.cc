@@ -276,6 +276,8 @@ TEST(Encode, RoundTripsAllFieldKinds)
         b.decParam(7);
     });
     b.resetFifo(LocalFifo::Ret);
+    const std::size_t regAdd = b.size();
+    b.add(reg(3), reg(5), DstTpO, AddOp::SubAB);
     Program p = b.finish();
 
     Program q = decode(encode(p), "all");
@@ -285,6 +287,8 @@ TEST(Encode, RoundTripsAllFieldKinds)
     EXPECT_EQ(q.at(2).mulA.idx, 17);
     EXPECT_EQ(q.at(2).dstReg, 31);
     EXPECT_EQ(q.at(2).addOp, AddOp::SubBA);
+    EXPECT_EQ(q.at(regAdd).addA.idx, 3);
+    EXPECT_EQ(q.at(regAdd).addB.idx, 5);
     for (std::size_t i = 0; i < p.size(); ++i)
         EXPECT_EQ(disasm(p.at(i)), disasm(q.at(i))) << "instr " << i;
 }
