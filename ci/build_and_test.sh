@@ -56,13 +56,20 @@ echo "serve shard workers TSan OK"
 # Fault matrix: soak the recovery stack under the sanitizers. A
 # flip/hang/mem fault plan over a full table run must complete (parity
 # corrects the flips, transient hangs resolve, memory spikes only
-# delay — no recovery transactions needed), and the fault-sweep smoke
+# delay — no recovery transactions needed), so must a hang/mem plan
+# without parity, and the fault-sweep smoke
 # exercises the whole timeout/retry/replay/dead-cell path.
 echo "=== fault matrix (sanitized) ==="
 sanitize="$build_root/sanitize"
 (cd "$sanitize" && ./bench/table_6_1 --quick \
     --faults=seed=11,rate=60,horizon=400000,kinds=flip+hang+mem,bits=1 \
     --parity=correct > /dev/null)
+# Hangs and memory spikes with parity off: the queues stay streamable,
+# so cells keep deferring burst windows and the faults wake them
+# mid-window (the burst replay-on-mutation path).
+(cd "$sanitize" && ./bench/table_6_1 --quick \
+    --faults=seed=11,rate=60,horizon=400000,kinds=hang+mem \
+    --parity=off > /dev/null)
 (cd "$sanitize" && ./bench/fault_sweep --smoke > /dev/null)
 # The serve_load smoke grid keeps a faulted case and a shard-kill
 # case, so the shard worker/failover path soaks under ASan/UBSan too.

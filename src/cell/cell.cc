@@ -59,15 +59,13 @@ Cell::Cell(std::string name, const CellConfig &cfg,
     // under statGroup must stay byte-identical with the tier on or
     // off, and burst engagement depends on the engine mode.
     ftGroup.addCounter("compiled", &statFtCompiled,
-                       "loop bodies analyzed burst-eligible");
+                       "loop bodies analyzed with a turbo plan");
     ftGroup.addCounter("ineligible", &statFtIneligible,
                        "loop bodies analyzed and rejected");
     ftGroup.addCounter("bursts", &statFtBursts,
-                       "burst windows executed");
+                       "burst windows granted");
     ftGroup.addCounter("burstCycles", &statFtBurstCycles,
-                       "cycles executed inside bursts");
-    ftGroup.addCounter("burstIssued", &statFtBurstIssued,
-                       "micro-ops issued inside bursts");
+                       "deferred cycles executed in bulk");
     ftGroup.addCounter("burstIters", &statFtBurstIters,
                        "loop iterations completed inside bursts");
     ftGroup.addCounter("turboCycles", &statFtTurboCycles,
@@ -75,9 +73,7 @@ Cell::Cell(std::string name, const CellConfig &cfg,
     ftGroup.addCounter("fallbackObserver", &statFtFallbackObserver,
                        "burst refused: per-cycle observer attached");
     ftGroup.addCounter("fallbackBody", &statFtFallbackBody,
-                       "burst refused: body not burst-eligible");
-    ftGroup.addCounter("fallbackInflight", &statFtFallbackInflight,
-                       "burst refused: interface write in flight");
+                       "burst refused: body has no turbo plan");
     _tpx.addStats(statGroup);
     _tpy.addStats(statGroup);
     _tpo.addStats(statGroup);
@@ -200,6 +196,7 @@ Cell::loadMicrocode(Word entry, isa::Program prog, unsigned nparams)
     // Reloading an entry reuses the map node, so cached body analyses
     // keyed on the Kernel address would go stale: drop them all.
     fastBodies.clear();
+    lastBody = nullptr;
     burstBody = nullptr;
     if (tracer)
         tracer->internTrack(traceComp, k.prog.name());
@@ -1197,6 +1194,7 @@ Cell::loadState(snap::Reader &r, std::uint32_t version)
 
     // Derived caches rebuild lazily against the restored state.
     fastBodies.clear();
+    lastBody = nullptr;
     burstBody = nullptr;
 }
 

@@ -37,6 +37,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cell/fp_unit.hh"
@@ -172,15 +174,21 @@ class Cell : public sim::Component
 
     /**
      * Superop fast tier (src/cell/fast_tier.cc): when the sequencer
-     * is streaming the body of an innermost hardware loop that only
-     * touches local state (sum/ret/reby, registers — never
-     * tpx/tpy/tpo/tpi), grant the engine a quantum of the
-     * instructions left in the loop region and execute them in bulk,
-     * byte-identical to the per-cycle path.
+     * streams a canonical chained-FMA loop body in its dense steady
+     * state (local queues and registers only — never
+     * tpx/tpy/tpo/tpi), let the engine defer the rest of the loop
+     * region and execute it in bulk, byte-identical to the per-cycle
+     * path. Word protection makes every queue unstreamable, so a
+     * cell built with parity never bursts and is never polled.
      */
-    Cycle burstQuantum(Cycle now) override;
-    void burstRun(Cycle from, Cycle cycles, sim::Engine &engine,
-                  std::uint64_t *progress_bits) override;
+    bool
+    burstCapable() const override
+    {
+        return cfg.parity == fault::ParityMode::Off;
+    }
+    Cycle burstQuantum(Cycle from) override;
+    void burstRun(Cycle from, Cycle cycles,
+                  sim::Engine &engine) override;
 
     /**
      * Snapshot support: serialize the full architectural state —
@@ -204,10 +212,6 @@ class Cell : public sim::Component
      * on engine mode and flags while the stats JSON must not.
      */
     const stats::StatGroup &fastTierStats() const { return ftGroup; }
-    std::uint64_t burstCyclesExecuted() const
-    {
-        return statFtBurstCycles.value();
-    }
 
     // Observability.
     std::uint64_t issuedOps() const { return statIssued.value(); }
@@ -325,45 +329,35 @@ class Cell : public sim::Component
     void tickSequencer(Cycle now, sim::Engine &engine);
 
     /**
-     * One analyzed innermost-loop body (fast_tier.cc). The program is
-     * already decoded, so "compiling" pins the region [bodyPc, endPc]
-     * (endPc = the LoopEnd) and proves it burst-eligible: straight-
-     * line Compute ops touching only local queues and registers.
+     * One analyzed innermost-loop body (fast_tier.cc): the region
+     * [bodyPc, endPc] (endPc = the LoopEnd) and, when the body is the
+     * canonical steady-state chained fma of the compute-bound kernels
+     * — one instruction `fma(<recirc local queue>, <reg/const>, <pop
+     * local queue>, Dst<same queue>)`, e.g. matupdate's
+     * `fma(rebyR, regAy, sum, DstSum)` — its turbo plan: burstRun()
+     * executes such a body with direct ring operations and bulk
+     * bookkeeping instead of the interpreter. Only turbo bodies burst.
      */
     struct FastBody
     {
-        const Kernel *kernel;
-        std::size_t bodyPc;
-        std::size_t endPc;
-        bool eligible;
-
-        /**
-         * Superop specialization: the body is the canonical
-         * steady-state chained fma of the compute-bound kernels —
-         * one instruction `fma(<recirc local queue>, <reg/const>,
-         * <pop local queue>, Dst<same queue>)`, e.g. matupdate's
-         * `fma(rebyR, regAy, sum, DstSum)`. turboRun() executes such
-         * a body with direct ring rotation and bulk bookkeeping
-         * instead of the interpreter building blocks.
-         */
+        const Kernel *kernel = nullptr;
+        std::size_t bodyPc = 0;
+        std::size_t endPc = 0;
         bool turbo = false;
-        TimedFifo *turboRotQ = nullptr; //!< recirculating mul operand
-        TimedFifo *turboPopQ = nullptr; //!< popped addend == destination
-        std::uint8_t turboDstMask = 0;
-        isa::Operand turboMulB{};       //!< register/constant operand
-        isa::AddOp turboAddOp = isa::AddOp::Add;
+        TimedFifo *rotQ = nullptr; //!< recirculating mul operand
+        TimedFifo *popQ = nullptr; //!< popped addend == destination
+        std::uint8_t dstMask = 0;
+        isa::Operand mulB{};       //!< register/constant operand
+        isa::AddOp addOp = isa::AddOp::Add;
+    };
+    /** Analyses are keyed by (kernel, body pc). */
+    using FastBodyKey = std::pair<const Kernel *, std::size_t>;
+    struct FastBodyKeyHash
+    {
+        std::size_t operator()(const FastBodyKey &k) const;
     };
     /** Analyze (or fetch the cached analysis of) the innermost body. */
     const FastBody *fastBodyFor(std::size_t body_pc);
-
-    /**
-     * Specialized executor for a FastBody::turbo body: execute up to
-     * @p cycles steady-state iterations starting at @p from, or return
-     * 0 without side effects when the machine state does not satisfy
-     * the (checkable, sufficient) steady-state entry conditions.
-     */
-    std::uint64_t turboRun(Cycle from, Cycle cycles,
-                           sim::Engine &engine);
 
     // -- configuration and structure ------------------------------------
     CellConfig cfg;
@@ -411,9 +405,15 @@ class Cell : public sim::Component
     Cycle hangUntil = 0;   //!< frozen while now < hangUntil
     std::string faultWhy;  //!< what flagged the fault (status line)
 
-    /** Analyzed loop bodies, invalidated by loadMicrocode(). */
-    std::vector<FastBody> fastBodies;
-    /** Body validated by the burstQuantum() that granted the window. */
+    /**
+     * Analyzed loop bodies, invalidated by loadMicrocode() and
+     * loadState(). Node-based, so a FastBody's address stays valid
+     * across later analyses for as long as a deferred window holds it.
+     */
+    std::unordered_map<FastBodyKey, FastBody, FastBodyKeyHash> fastBodies;
+    /** The most recent lookup (polls repeat it every busy cycle). */
+    const FastBody *lastBody = nullptr;
+    /** Body of the window the last granting burstQuantum() opened. */
     const FastBody *burstBody = nullptr;
 
     std::vector<InFlight> inflight;
@@ -455,12 +455,10 @@ class Cell : public sim::Component
     stats::Counter statFtIneligible;
     stats::Counter statFtBursts;
     stats::Counter statFtBurstCycles;
-    stats::Counter statFtBurstIssued;
     stats::Counter statFtBurstIters;
     stats::Counter statFtTurboCycles;
     stats::Counter statFtFallbackObserver;
     stats::Counter statFtFallbackBody;
-    stats::Counter statFtFallbackInflight;
 };
 
 } // namespace opac::cell

@@ -3,49 +3,47 @@
  * Superop fast tier of the cell sequencer.
  *
  * The compute-bound phase of every OPAC kernel is an innermost hardware
- * loop whose body reads and writes only cell-local state: the sum, ret
- * and reby queues, the register file and regay (the matupdate /
- * convolution fma bodies of section 7). While the sequencer streams
- * such a body, per-cycle lock-step with the rest of the machine buys
- * nothing — the host cannot observe anything the body touches — so the
- * cell advertises a multi-cycle quantum to the engine (burstQuantum)
- * and, when the engine proves every other component passive for a
- * window, executes the window in one call (burstRun).
+ * loop whose body reads and writes only cell-local state — the
+ * matupdate column update `fma(rebyR, regAy, sum) → sum` and the
+ * convolution passes `fma(rebyR, rW, sum) → sum` of section 7. Once
+ * such a loop reaches its dense steady state, every cycle issues one
+ * chained FMA and retires one, and nothing another component can
+ * observe changes: the host and the other cells neither read nor
+ * write the queues and registers involved.
+ *
+ * The cell therefore tells the engine, after a live tick, how many of
+ * the following rounds it can *defer* (burstQuantum). The engine parks
+ * it like a sleeper and later executes the deferred rounds in bulk
+ * (burstRun) — at the end of the window, or earlier when a neighbor is
+ * about to mutate the cell, an observer ticks or the run stops —
+ * while the host keeps feeding the bus and the other cells keep
+ * ticking. See sim/engine.hh for the engine half of the contract.
  *
  * The contract is byte-exactness: burstRun must leave every counter,
  * queue and register exactly as the same number of live tick() rounds
- * would have. Two execution levels provide it:
+ * would have, for any prefix of the granted window. Only windows whose
+ * every cycle provably has the same shape are granted:
  *
- *  - the generic level reuses the interpreter's own building blocks
- *    (drainWritebacks, checkHazards, issueCompute, emitStall) cycle by
- *    cycle and replaces only the loop-wrap control step and the
- *    per-cycle occupancy sampling (run-length batched) with cheaper
- *    equivalents — exact for any eligible body, but no faster than
- *    the interpreter;
- *  - the specialized level (turboRun) recognizes the canonical
- *    steady-state body of the compute-bound kernels — one chained
+ *  - the body is the canonical single-instruction chained fma
  *    `fma(<recirculating local queue>, <register/constant>, <popped
- *    local queue>, Dst<same queue>)`, matupdate's column update and
- *    the convolution passes — and, after verifying sufficient
- *    conditions for the window to be dense (full FP pipeline landing
- *    one result per cycle, both queues streamable, no stall possible),
- *    executes each cycle as two ring rotations plus the FP ops,
- *    settling every counter, watermark and occupancy sample in bulk
- *    afterwards. This is where the fast tier's speedup comes from.
+ *    local queue>, Dst<same queue>)` (FastBody, analyzed once per
+ *    (kernel, body pc)), and controlOpsPerCycle >= 2 so the
+ *    zero-overhead wrap (LoopEnd consumed, body re-entered) fits in
+ *    one cycle's control budget;
+ *  - the pipeline is dense: exactly mulLatency + addLatency results in
+ *    flight, landing one per cycle from the window's first cycle, all
+ *    into the popped queue — which also proves no register write is
+ *    pending, so the scalar operand is constant;
+ *  - both queues are streamable (parity off, no armed injector fault,
+ *    no tracer, every stored word fallen through);
+ *  - the window ends before the loop exits.
  *
- * Eligibility ("compilation") is a one-time analysis per loop body,
- * cached in Cell::fastBodies and invalidated by loadMicrocode():
- *
- *  - every instruction in [bodyPc, endPc) is a Compute op (no nested
- *    LoopBegin, no SetParam / ResetFifo / Halt — the body is the
- *    innermost, straight-line steady state);
- *  - no operand pops tpx or tpy, and no destination (compute or move)
- *    targets tpo: the four interface queues are provably untouched, so
- *    the engine's passive-component argument reduces to the ordinary
- *    quiescent-skip argument;
- *  - controlOpsPerCycle >= 2, so the interpreter's zero-overhead wrap
- *    (LoopEnd consumed, then the body's first Compute reached) fits in
- *    one cycle's control budget, which is what the executor models.
+ * Under these conditions each cycle is: land one result into the
+ * popped queue, wrap, recirculate the mul operand, pop the addend,
+ * issue. burstRun executes that as two ring operations plus the FP
+ * ops and settles every counter, watermark and occupancy sample in
+ * bulk afterwards; the steady state reproduces itself, so a window may
+ * be executed in several consecutive chunks.
  */
 
 #include "cell/cell.hh"
@@ -61,13 +59,6 @@ using isa::Src;
 namespace
 {
 
-/** True when @p op pops an interface queue (burst-ineligible read). */
-bool
-readsInterface(const isa::Operand &op)
-{
-    return op.used() && (op.kind == Src::TpX || op.kind == Src::TpY);
-}
-
 /** True for the head-to-tail loop-back read kinds (cell.cc has its
  *  own copy in file scope). */
 bool
@@ -76,8 +67,14 @@ isRecirc(Src s)
     return s == Src::SumR || s == Src::RetR || s == Src::RebyR;
 }
 
-/** Deepest FP pipeline turboRun() handles (mulLatency + addLatency). */
+/** Deepest FP pipeline burstRun() handles (mulLatency + addLatency). */
 constexpr unsigned kMaxTurboDepth = 16;
+
+/**
+ * Shortest window worth deferring: below this the engine's park and
+ * replay bookkeeping costs about what the live ticks would.
+ */
+constexpr Cycle kMinBurstCycles = 4;
 
 /** The destination bit writing back into the queue @p pop reads. */
 std::uint8_t
@@ -107,47 +104,37 @@ isScalarOperand(Src s)
 
 } // namespace
 
+std::size_t
+Cell::FastBodyKeyHash::operator()(const FastBodyKey &k) const
+{
+    return std::hash<const void *>()(k.first)
+           ^ (k.second * 0x9e3779b97f4a7c15ull);
+}
+
 const Cell::FastBody *
 Cell::fastBodyFor(std::size_t body_pc)
 {
-    for (const FastBody &b : fastBodies) {
-        if (b.kernel == current && b.bodyPc == body_pc)
-            return &b;
-    }
+    if (lastBody && lastBody->kernel == current
+        && lastBody->bodyPc == body_pc)
+        return lastBody;
+    auto [it, fresh] =
+        fastBodies.try_emplace(FastBodyKey{current, body_pc});
+    FastBody &b = it->second;
+    lastBody = &b;
+    if (!fresh)
+        return &b;
 
-    FastBody b{current, body_pc, body_pc, false};
-    bool eligible = cfg.controlOpsPerCycle >= 2;
-    std::size_t scan = body_pc;
-    for (;; ++scan) {
-        opac_assert(scan < current->prog.size(),
-                    "unterminated loop body in '%s'",
-                    current->prog.name().c_str());
-        const isa::Instr &in = current->prog.at(scan);
-        if (in.op == Opcode::LoopEnd)
-            break;
-        if (in.op != Opcode::Compute) {
-            // Nested loop or sequencer op: not a straight-line
-            // steady-state body.
-            eligible = false;
-            break;
-        }
-        if (readsInterface(in.mulA) || readsInterface(in.mulB)
-            || readsInterface(in.addA) || readsInterface(in.addB)
-            || readsInterface(in.mvSrc)
-            || ((in.dstMask | in.mvDstMask) & isa::DstTpO)) {
-            eligible = false;
-            break;
-        }
-    }
-    b.endPc = scan;
-    b.eligible = eligible;
-
-    // Specialize the canonical single-instruction chained-fma body.
-    // Anything here is a pure strengthening: a body that fails these
-    // checks still bursts on the generic level.
-    if (eligible && scan == body_pc + 1
-        && cfg.mulLatency + cfg.addLatency >= 1
-        && cfg.mulLatency + cfg.addLatency <= kMaxTurboDepth) {
+    b.kernel = current;
+    b.bodyPc = body_pc;
+    b.endPc = body_pc + 1;
+    const unsigned depth = cfg.mulLatency + cfg.addLatency;
+    if (cfg.controlOpsPerCycle >= 2 && depth >= 1
+        && depth <= kMaxTurboDepth
+        && body_pc + 1 < current->prog.size()
+        && current->prog.at(body_pc).op == Opcode::Compute
+        && current->prog.at(body_pc + 1).op == Opcode::LoopEnd) {
+        // Every operand kind below is cell-local, so the shape alone
+        // rules out interface-queue traffic.
         const isa::Instr &in = current->prog.at(body_pc);
         const isa::DecodedInstr &d = current->prog.decodedAt(body_pc);
         if (d.mulActive && d.addActive && d.addAFromMul && !d.mvActive
@@ -158,35 +145,45 @@ Cell::fastBodyFor(std::size_t body_pc)
             && in.mvDstMask == 0
             && queueFor(in.mulA.kind) != queueFor(in.addB.kind)) {
             b.turbo = true;
-            b.turboRotQ = queueFor(in.mulA.kind);
-            b.turboPopQ = queueFor(in.addB.kind);
-            b.turboDstMask = in.dstMask;
-            b.turboMulB = in.mulB;
-            b.turboAddOp = in.addOp;
+            b.rotQ = queueFor(in.mulA.kind);
+            b.popQ = queueFor(in.addB.kind);
+            b.dstMask = in.dstMask;
+            b.mulB = in.mulB;
+            b.addOp = in.addOp;
         }
     }
-
-    if (eligible)
+    if (b.turbo)
         ++statFtCompiled;
     else
         ++statFtIneligible;
-    fastBodies.push_back(b);
-    return &fastBodies.back();
+    return &b;
 }
 
-std::uint64_t
-Cell::turboRun(Cycle from, Cycle cycles, sim::Engine &engine)
+Cycle
+Cell::burstQuantum(Cycle from)
 {
-    const FastBody *b = burstBody;
+    // Not in a loop at all: silent (no fallback counter) — this is the
+    // ordinary non-steady-state case, not a refused burst.
+    if (_dead || _faulted || from < hangUntil
+        || state != SeqState::Run || loopStack.empty())
+        return 0;
+    if (tracer || traceHook) {
+        // Observers need the per-cycle event edges of the interpreter.
+        ++statFtFallbackObserver;
+        return 0;
+    }
+    const LoopFrame &f = loopStack.back();
+    const FastBody *b = fastBodyFor(f.bodyPc);
+    if (!b->turbo) {
+        ++statFtFallbackBody;
+        return 0;
+    }
 
-    // Sufficient conditions for a dense, stall-free window. With the
-    // body a single instruction, every cycle of the per-cycle path
-    // from this state is: drain the one writeback landing this cycle
-    // (when == now, pushReserved into the pop queue), wrap (LoopEnd +
-    // re-entry inside the control budget), recirculate the mul
-    // operand, pop the addend, issue (reserve + one new in-flight
-    // entry landing mulLatency + addLatency cycles out). The checks
-    // pin exactly that shape; anything else falls back.
+    // Dense steady state from the window's first cycle (see the file
+    // comment): pc inside the body region, the pipeline full with one
+    // result landing per cycle into the popped queue, both queues
+    // streamable. Anything else — the pipeline ramp at loop entry
+    // above all — ticks live; silent for the same reason as above.
     if (pc != b->endPc && pc != b->bodyPc)
         return 0;
     const unsigned depth = cfg.mulLatency + cfg.addLatency;
@@ -194,19 +191,42 @@ Cell::turboRun(Cycle from, Cycle cycles, sim::Engine &engine)
         return 0;
     for (unsigned i = 0; i < depth; ++i) {
         if (inflight[i].when != from + Cycle(i)
-            || inflight[i].dstMask != b->turboDstMask)
+            || inflight[i].dstMask != b->dstMask)
             return 0;
     }
-    TimedFifo *const popq = b->turboPopQ;
-    TimedFifo *const rotq = b->turboRotQ;
-    if (!popq->streamable(from) || !rotq->streamable(from)
-        || popq->space() == 0)
+    if (!b->popQ->streamable(from) || !b->rotQ->streamable(from)
+        || b->popQ->space() == 0)
         return 0;
+
+    // The issues left in the loop region: the wrap-free issue at
+    // bodyPc (if not yet taken) plus one per remaining iteration. The
+    // loop exit, and whatever follows it, stays outside the window.
+    const Cycle q = Cycle(b->endPc - pc) + Cycle(f.remaining);
+    if (q < kMinBurstCycles)
+        return 0;
+    burstBody = b;
+    ++statFtBursts;
+    return q;
+}
+
+void
+Cell::burstRun(Cycle from, Cycle cycles, sim::Engine &engine)
+{
+    (void)engine;
+    const FastBody *b = burstBody;
+    opac_assert(b && b->kernel == current,
+                "%s: burstRun without a granted window", name().c_str());
+    // The entry conditions were checked by burstQuantum() at the
+    // window start, and each chunk leaves the machine in the same
+    // steady state for the next one.
+    const unsigned depth = cfg.mulLatency + cfg.addLatency;
+    TimedFifo *const popq = b->popQ;
+    TimedFifo *const rotq = b->rotQ;
 
     const std::uint64_t w = cycles;
     // No register write is in flight (every entry's dstMask is the
     // queue bit), so the scalar operand is constant over the window.
-    const Word bval = readOperand(b->turboMulB, from, 0);
+    const Word bval = readOperand(b->mulB, from, 0);
     const bool token = fpu->valueFree();
 
     Word vals[kMaxTurboDepth];
@@ -218,16 +238,19 @@ Cell::turboRun(Cycle from, Cycle cycles, sim::Engine &engine)
         const Cycle now = from + Cycle(k);
         const Word s = popq->streamExchange(vals[vi], now);
         const Word a = rotq->streamRotate(now);
-        vals[vi] = token
-                       ? 0
-                       : fpu->add(fpu->mul(a, bval), s, b->turboAddOp);
+        vals[vi] = token ? 0 : fpu->add(fpu->mul(a, bval), s, b->addOp);
         if (++vi == depth)
             vi = 0;
     }
 
     // Settle everything the per-cycle path would have left behind.
+    // Queue occupancies are invariant (one push and one pop per cycle
+    // on each streamed queue), so the per-cycle samples collapse.
     popq->streamCommit(w, true);
     rotq->streamCommit(w, false);
+    _sum.sampleOccupancy(w);
+    _ret.sampleOccupancy(w);
+    _reby.sampleOccupancy(w);
     if (token)
         fpu->countBulk(w);
     for (unsigned j = 0; j < depth; ++j) {
@@ -242,171 +265,9 @@ Cell::turboRun(Cycle from, Cycle cycles, sim::Engine &engine)
     statBusy += w;
     statFma += w;
     statIssued += w;
-    statFtBurstIssued += w;
     statFtBurstIters += wraps;
+    statFtBurstCycles += w;
     statFtTurboCycles += w;
-    engine.noteProgress();
-    return w;
-}
-
-Cycle
-Cell::burstQuantum(Cycle now)
-{
-    // Not in a streamable state: silent (no fallback counter) — this
-    // is the ordinary non-steady-state case, not a refused burst.
-    if (_dead || _faulted || now < hangUntil
-        || state != SeqState::Run || loopStack.empty())
-        return 0;
-    if (tracer || traceHook) {
-        // Observers need the per-cycle event edges of the interpreter.
-        ++statFtFallbackObserver;
-        return 0;
-    }
-    const LoopFrame &f = loopStack.back();
-    const FastBody *b = fastBodyFor(f.bodyPc);
-    if (!b->eligible) {
-        ++statFtFallbackBody;
-        return 0;
-    }
-    if (pc < b->bodyPc || pc > b->endPc)
-        return 0;
-    // A result already in flight toward tpo would mutate an interface
-    // queue mid-window; wait for it to land on the per-cycle path.
-    for (const InFlight &w : inflight) {
-        if (w.dstMask & isa::DstTpO) {
-            ++statFtFallbackInflight;
-            return 0;
-        }
-    }
-
-    // The quantum is the number of issues left in the loop region:
-    // the tail of the current iteration plus `remaining` full bodies.
-    // Any window w <= quantum keeps pc inside [bodyPc, endPc] with
-    // every wrap taken on remaining > 0 — loop exit, and whatever
-    // follows it, happens outside the window.
-    const std::size_t len = b->endPc - b->bodyPc;
-    burstBody = b;
-    return Cycle(b->endPc - pc) + Cycle(f.remaining) * Cycle(len);
-}
-
-void
-Cell::burstRun(Cycle from, Cycle cycles, sim::Engine &engine,
-               std::uint64_t *progress_bits)
-{
-    const FastBody *b = burstBody;
-    opac_assert(b && b->kernel == current,
-                "%s: burstRun without a validated body", name().c_str());
-    ++statFtBursts;
-    statFtBurstCycles += cycles;
-
-    // Run-length batching of the per-cycle occupancy samples tick()
-    // takes on sum/ret/reby: flush a run only when the count changes
-    // (and once at the end), byte-identical to cycles individual
-    // samples.
-    TimedFifo *const sampled[3] = {&_sum, &_ret, &_reby};
-    std::size_t runVal[3];
-    std::uint64_t runLen[3] = {0, 0, 0};
-    for (int i = 0; i < 3; ++i)
-        runVal[i] = sampled[i]->size();
-    auto sampleCycle = [&] {
-        for (int i = 0; i < 3; ++i) {
-            std::size_t v = sampled[i]->size();
-            if (v != runVal[i]) {
-                if (runLen[i])
-                    sampled[i]->sampleOccupancyRun(runVal[i], runLen[i]);
-                runVal[i] = v;
-                runLen[i] = 0;
-            }
-            ++runLen[i];
-        }
-    };
-
-    Cycle k = 0;
-    while (k < cycles) {
-        // A protection fault raised by a mid-window pop (queue parity)
-        // freezes the sequencer exactly as on the per-cycle path; the
-        // rest of the window becomes the frozen tail below.
-        if (_faulted)
-            break;
-        const Cycle now = from + k;
-
-        // Specialized executor first: it consumes the whole remaining
-        // window when the steady state is dense, which it stays for —
-        // nothing inside the window can perturb it.
-        if (b->turbo) {
-            const Cycle t = Cycle(turboRun(now, cycles - k, engine));
-            if (t != 0) {
-                // Queue occupancies were invariant: extend the open
-                // runs. Every turbo cycle progressed: fill its span
-                // of the (sequentially shared) progress bitmap.
-                for (int i = 0; i < 3; ++i)
-                    runLen[i] += t;
-                for (Cycle c = k; c < k + t;) {
-                    if ((c & 63) == 0 && c + 64 <= k + t) {
-                        progress_bits[c >> 6] = ~std::uint64_t(0);
-                        c += 64;
-                    } else {
-                        progress_bits[c >> 6] |=
-                            std::uint64_t(1) << (c & 63);
-                        ++c;
-                    }
-                }
-                k += t;
-                continue;
-            }
-        }
-
-        bool prog = false;
-        if (now >= wbReadyAt) {
-            const std::size_t before = inflight.size();
-            drainWritebacks(now, engine);
-            prog = inflight.size() != before;
-        }
-
-        // tickSequencer, Run state: busy cycle, zero-overhead wrap,
-        // hazard-checked issue. The quantum guarantees remaining > 0
-        // at every wrap inside the window.
-        ++statBusy;
-        if (pc == b->endPc) {
-            LoopFrame &f = loopStack.back();
-            --f.remaining;
-            pc = f.bodyPc;
-            ++statFtBurstIters;
-        }
-        const isa::Instr &in = current->prog.at(pc);
-        const isa::DecodedInstr &d = current->prog.decodedAt(pc);
-        StallCause stall = checkHazards(d, now);
-        if (stall == StallCause::None) {
-            issueCompute(in, d, now);
-            ++pc;
-            engine.noteProgress();
-            ++statFtBurstIssued;
-            prog = true;
-        } else {
-            emitStall(stall, now);
-        }
-
-        if (prog)
-            progress_bits[k >> 6] |= std::uint64_t(1) << (k & 63);
-        sampleCycle();
-        ++k;
-    }
-    for (int i = 0; i < 3; ++i) {
-        if (runLen[i])
-            sampled[i]->sampleOccupancyRun(runVal[i], runLen[i]);
-    }
-
-    if (k < cycles) {
-        // Frozen tail after a mid-window fault: the per-cycle path
-        // counts hang cycles and keeps sampling occupancy, with no
-        // busy cycles and no writeback drain.
-        const Cycle rest = cycles - k;
-        statHangCycles += rest;
-        _sum.sampleOccupancy(rest);
-        _ret.sampleOccupancy(rest);
-        _reby.sampleOccupancy(rest);
-    }
-    burstBody = nullptr;
 }
 
 } // namespace opac::cell

@@ -1,7 +1,6 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -152,147 +151,6 @@ Engine::watchdogExpired()
                engineModeName(_mode), statusDump().c_str()));
 }
 
-bool
-Engine::attemptBurst(Cycle start, Cycle max_cycles)
-{
-    ++_burstAttempts;
-    const unsigned n = static_cast<unsigned>(components.size());
-
-    // Who can burst, and for how long? The window is the smallest
-    // granted quantum. Sleeping slots are never bursters: their slept
-    // rounds have not been replayed, so their counters lag behind
-    // their architectural state.
-    burstSlots_.clear();
-    Cycle w = Component::noEvent;
-    for (unsigned s = 0; s < n; ++s) {
-        if (sleep_[s].asleep)
-            continue;
-        Cycle q = components[s]->burstQuantum(cycle);
-        if (q > 0) {
-            burstSlots_.push_back(s);
-            w = std::min(w, q);
-        }
-    }
-    if (burstSlots_.empty()) {
-        burstFailed(cycle);
-        return false;
-    }
-
-    // Everyone else must be provably passive across the window: no
-    // progress attributed in the round just executed, and a
-    // nextEventAt hint strictly in the future (which then bounds the
-    // window — the hint is valid precisely because the bursters touch
-    // nothing the passive component observes). A sleeping slot's wake
-    // time plays the role of its hint and it replays lazily on wake,
-    // exactly as it would across an all-asleep jump.
-    auto passiveFail = [&] {
-        burstFailed(cycle);
-        return false;
-    };
-    unsigned nburst = 0;
-    for (unsigned s = 0; s < n; ++s) {
-        if (nburst < burstSlots_.size() && burstSlots_[nburst] == s) {
-            ++nburst;
-            continue;
-        }
-        const SleepState &ss = sleep_[s];
-        if (ss.asleep) {
-            if (ss.wakeAt <= cycle)
-                return passiveFail();
-            w = std::min(w, ss.wakeAt - cycle);
-            continue;
-        }
-        if (slotProg_[s])
-            return passiveFail();
-        Component *c = components[s];
-        Cycle at = c->nextEventAt(cycle);
-        if (at <= cycle)
-            return passiveFail();
-        w = std::min(w, at - cycle);
-        // An observer tick (the stats sampler) must see every counter
-        // live; its hint normally coincides, but clamp explicitly.
-        if (ss.observer) {
-            Cycle ob = c->observesSystemAt(cycle);
-            if (ob <= cycle)
-                return passiveFail();
-            w = std::min(w, ob - cycle);
-        }
-    }
-
-    // Deadline clamps, same as the all-asleep jump: the watchdog and
-    // max_cycles must fire at exactly the cycle a spin run reaches
-    // them.
-    if (watchdogCycles != 0)
-        w = std::min(w, lastProgress + watchdogCycles - cycle);
-    if (max_cycles != 0)
-        w = std::min(w, start + max_cycles - cycle);
-    if (stopAt_ != cycleNever)
-        w = std::min(w, stopAt_ - cycle);
-    if (w < minBurstCycles) {
-        burstFailed(cycle);
-        return false;
-    }
-
-    // Execute. Bursters run first, then the passives bulk-replay the
-    // window; the order is immaterial because the bursters touch no
-    // state the passives observe (the burstQuantum contract).
-    burstBits_.assign(std::size_t((w + 63) / 64), 0);
-    for (unsigned s : burstSlots_) {
-        currentSlot_ = s;
-        components[s]->burstRun(cycle, w, *this, burstBits_.data());
-    }
-    currentSlot_ = 0;
-    nburst = 0;
-    for (unsigned s = 0; s < n; ++s) {
-        if (nburst < burstSlots_.size() && burstSlots_[nburst] == s) {
-            ++nburst;
-            continue;
-        }
-        if (sleep_[s].asleep)
-            continue;
-        components[s]->fastForward(cycle, w, *this);
-    }
-
-    // Idle/watchdog accounting from the progress bitmap: a window
-    // cycle with no progress bit is exactly a round in which no
-    // component would have reported progress.
-    Cycle busy = 0;
-    std::ptrdiff_t lastSet = -1;
-    for (std::size_t i = 0; i < burstBits_.size(); ++i) {
-        std::uint64_t m = burstBits_[i];
-        if (i + 1 == burstBits_.size() && (w & 63))
-            m &= (std::uint64_t(1) << (w & 63)) - 1;
-        busy += Cycle(std::popcount(m));
-        if (m != 0) {
-            lastSet = std::ptrdiff_t(i) * 64
-                      + (63 - std::countl_zero(m));
-        }
-    }
-    if (lastSet >= 0)
-        lastProgress = cycle + Cycle(lastSet) + 1;
-    cycle += w;
-    statCycles += w;
-    statIdleCycles += w - busy;
-    ++_bursts;
-    _burstCycles += w;
-    nextBurstTry_ = cycle; // streaming: try again right away
-    burstFailStreak_ = 0;
-    return true;
-}
-
-void
-Engine::burstFailed(Cycle at)
-{
-    Cycle d = burstRetryInterval;
-    if (burstFailStreak_ >= 2) {
-        unsigned shift = std::min(burstFailStreak_ - 1, 31u);
-        d = burstRetryInterval << shift;
-        d = std::min(d, burstBackoffMax);
-    }
-    ++burstFailStreak_;
-    nextBurstTry_ = at + d;
-}
-
 Cycle
 Engine::runSpin(Cycle max_cycles)
 {
@@ -304,7 +162,6 @@ Engine::runSpin(Cycle max_cycles)
     // idleness from the same cycle an uninterrupted one would.
     lastProgress = cycle - std::min(idleCarry_, cycle);
     idleCarry_ = 0;
-    attributeProgress_ = false;
     while (!allDone() && cycle < stopAt_) {
         checkMaxCycles(start, max_cycles);
         progressed = false;

@@ -28,9 +28,20 @@
  *          one of its FIFOs (Component::wakeForMutation, called before
  *          the mutation so the replay still sees the state the sleep
  *          hint was computed against). When every component is asleep
- *          the clock jumps straight to the earliest wake-up. With the
- *          fast tier on, an awake streaming component may also be
- *          granted a multi-cycle burst.
+ *          the clock jumps straight to the earliest wake-up.
+ *
+ * Superop bursts (fast tier on, no tracer) are the busy-side mirror of
+ * sleep, scheduled the same way. After a round in which a component
+ * progressed, the engine asks it for a burstQuantum: a count of
+ * upcoming rounds it is guaranteed to progress in while touching
+ * nothing another component reads (for a cell: a dense chained-FMA
+ * loop window). A granted component is parked as a *deferred burster*
+ * and its rounds are executed in bulk (burstRun) whenever they must
+ * become visible — at the window's end, on a neighbor's
+ * wakeForMutation, before an observer ticks, at a runUntil stop or an
+ * abort — while every other component keeps ticking live. Rounds a
+ * deferred burster covers count as progress, so idle-cycle and
+ * watchdog accounting stay exactly those of the spin run.
  *
  * In Skip mode trace events are staged per component slot and merged
  * back into exact (cycle, slot) serial order before reaching the sinks
@@ -128,42 +139,51 @@ class Component
     }
 
     /**
-     * Superop fast tier: number of cycles this component could
-     * execute in bulk starting at @p now without touching any state
-     * another component observes (for a cell: a steady-state
-     * innermost hardware-loop body reading and writing only its local
-     * queues and registers). 0 — the default and the common case —
-     * means "cannot burst". A positive quantum is a guarantee: for
-     * any engine grant w <= the quantum, burstRun(now, w, ...)
-     * reproduces byte-exactly what w consecutive live tick() rounds
-     * would have done, and every externally observable queue stays
-     * untouched for the whole window. Only consulted when the
-     * engine's fast tier is on and no tracer is attached.
+     * True when this component may ever grant a burstQuantum. Polled
+     * once at run entry, so components that never burst pay no
+     * per-tick poll; only those answering true are asked for a
+     * quantum (after each round in which they progressed).
      */
-    virtual Cycle burstQuantum(Cycle now)
+    virtual bool burstCapable() const { return false; }
+
+    /**
+     * Superop fast tier: the number q of rounds, starting with the
+     * round at cycle @p from, that this component can defer and later
+     * execute in bulk. 0 (the default and the common case) means
+     * "cannot burst". Asked right after a live tick at from - 1 that
+     * progressed. A positive quantum promises three things:
+     *  - the component would report progress in each of the rounds
+     *    [from, from + q) had it ticked them live;
+     *  - none of those rounds writes state another component reads
+     *    (nor changes done(), which the engine reads every round);
+     *  - burstRun() replays any prefix of the window byte-exactly,
+     *    also in several consecutive calls.
+     * The engine then stops ticking the component and replays its
+     * rounds lazily — at the end of the window, before another agent
+     * mutates it (wakeForMutation), before an observer ticks, and at
+     * a run stop or abort. Only consulted when the engine's fast tier
+     * is on and no tracer is attached.
+     */
+    virtual Cycle burstQuantum(Cycle from)
     {
-        (void)now;
+        (void)from;
         return 0;
     }
 
     /**
-     * Execute @p cycles tick rounds in bulk starting at cycle
-     * @p from, against a preceding burstQuantum(from) guarantee. Must
-     * leave every counter, FIFO and architectural register exactly as
-     * @p cycles live tick() rounds would have, in a window where no
-     * other component acts. For each bulk cycle from + k in which a
-     * live tick would have reported progress, set bit k in
-     * @p progress_bits (an engine-owned bitmap of at least @p cycles
-     * bits, shared by all bursting components) — the engine derives
-     * idle-cycle and watchdog accounting from it.
+     * Execute @p cycles deferred rounds in bulk starting at cycle
+     * @p from, continuing the window a preceding burstQuantum()
+     * granted (from is the window start or the end of the previous
+     * burstRun of the same window). Must leave every counter, FIFO
+     * and architectural register exactly as @p cycles live tick()
+     * rounds would have. Does not call Engine::noteProgress(): the
+     * engine accounts the window's rounds as progress itself.
      */
-    virtual void burstRun(Cycle from, Cycle cycles, Engine &engine,
-                          std::uint64_t *progress_bits)
+    virtual void burstRun(Cycle from, Cycle cycles, Engine &engine)
     {
         (void)from;
         (void)cycles;
         (void)engine;
-        (void)progress_bits;
     }
 
     /** One-line state description, used in deadlock reports. */
@@ -262,24 +282,9 @@ class Engine
 
     Cycle now() const { return cycle; }
 
-    /**
-     * Components call this from tick() when they made forward
-     * progress.
-     *
-     * With the fast tier enabled the progress is also attributed to
-     * the component being ticked (currentSlot_): a burst attempt must
-     * prove components individually quiescent, because a component's
-     * nextEventAt hint alone cannot — a FIFO front that became ready
-     * strictly before `now` reports no event even while its consumer
-     * is streaming.
-     */
-    void
-    noteProgress()
-    {
-        progressed = true;
-        if (attributeProgress_)
-            slotProg_[currentSlot_] = 1;
-    }
+    /** Components call this from tick() when they made forward
+     *  progress. */
+    void noteProgress() { progressed = true; }
 
     /**
      * Run until every component reports done(), or max_cycles elapse
@@ -306,7 +311,7 @@ class Engine
      * Serialize the engine-level mutable state (the clock and the
      * carried idle baseline). Registered stats (cycles/idleCycles)
      * travel with the stats tree; scheduler scratch (sleep lists,
-     * burst backoff) re-initializes at run entry and is deliberately
+     * deferred bursts) re-initializes at run entry and is deliberately
      * not saved — both modes are byte-identical, so a resumed run may
      * even switch modes.
      */
@@ -359,9 +364,9 @@ class Engine
     /**
      * Enable the superop fast tier (default off at the engine level;
      * the coprocessor turns it on from its config). When on, the Skip
-     * run loop may grant a component advertising a burstQuantum() a
-     * multi-cycle quantum and bulk-replay every other (provably
-     * passive) component across the window. Spin mode never bursts —
+     * run loop defers the rounds of a burstCapable() component that
+     * grants a burstQuantum() and executes them in bulk later, while
+     * the rest of the machine keeps ticking. Spin mode never bursts —
      * it stays the pure per-cycle reference — and a run with a tracer
      * attached never bursts either, so every output stays
      * byte-identical with the tier on or off.
@@ -383,6 +388,11 @@ class Engine
     /**
      * Fast-tier diagnostics, unregistered for the same reason: burst
      * engagement depends on the run mode, the stats JSON must not.
+     * burstAttempts() counts burstQuantum() polls (one per progressing
+     * round of a burst-capable component), bursts() the windows they
+     * granted, burstCycles() the deferred rounds executed by
+     * burstRun() (a window cut short by a mutation counts only its
+     * executed prefix).
      */
     std::uint64_t burstAttempts() const { return _burstAttempts; }
     std::uint64_t bursts() const { return _bursts; }
@@ -422,50 +432,15 @@ class Engine
     }
     void wakeComponentSlow(unsigned slot);
 
-    /** Replay a sleeping slot's rounds [sleptFrom, upTo). */
+    /**
+     * Replay a sleeping slot's rounds [sleptFrom, upTo): fastForward
+     * for a quiescent sleeper, burstRun for a deferred burster.
+     */
     void replaySlot(unsigned slot, Cycle upTo);
+    /** Replay a sleeping slot through round upTo - 1 and wake it. */
+    void wakeSlot(unsigned slot, Cycle upTo);
     /** Replay every sleeping slot through round upTo - 1. */
     void catchUpAll(Cycle upTo);
-
-    /**
-     * Superop burst: collect every component granting a quantum, prove
-     * the rest passive for the window (no progress attributed in the
-     * round just executed and a future-only nextEventAt hint — or
-     * asleep with a wake past the window), execute the bursters in
-     * bulk and fast-forward the awake passives. Returns true when a
-     * burst ran (the clock advanced); the caller re-checks the
-     * watchdog. @p start / @p max_cycles clamp the window to the run
-     * deadline.
-     */
-    bool attemptBurst(Cycle start, Cycle max_cycles);
-
-    /** Burst windows shorter than this lose to their own setup cost. */
-    static constexpr Cycle minBurstCycles = 4;
-    /**
-     * Live rounds before retrying after a failed attempt. Kept short
-     * on every failure path: the steady-state windows are only as
-     * long as the innermost loop count (tens of cycles), and both
-     * common failures clear within a cycle or two — a passive host
-     * pushes one bus word at a loop boundary and re-blocks on the
-     * full interface queue, and a sequencer crossing a loop boundary
-     * (no quantum to grant) re-enters the body immediately. A long
-     * back-off here blanks most of the next window; the attempt
-     * itself is one cheap burstQuantum() poll per component.
-     */
-    static constexpr Cycle burstRetryInterval = 2;
-    /**
-     * Ceiling for the adaptive retry delay. The first two consecutive
-     * misses retry at burstRetryInterval (loop boundaries clear that
-     * fast); a longer streak means the machine is in a phase bursts
-     * cannot cover at all — e.g. the host actively pacing the bus
-     * clamps every window below minBurstCycles — where re-probing
-     * every other cycle is pure overhead, so the delay doubles per
-     * miss up to this cap. One successful burst resets the streak.
-     */
-    static constexpr Cycle burstBackoffMax = 16;
-
-    /** Record a failed burst attempt and schedule the next probe. */
-    void burstFailed(Cycle at);
 
     /** Per-slot scheduling state (Skip mode). */
     struct SleepState
@@ -474,6 +449,10 @@ class Engine
         Cycle sleptFrom = 0;         //!< first round not yet replayed
         std::uint32_t idleTicks = 0; //!< consecutive no-progress ticks
         bool asleep = false;
+        /** Asleep on a deferred burst window (wakeAt = its end), not
+         *  on a quiescent hint: its rounds are all progress. */
+        bool burst = false;
+        bool burster = false;        //!< polled for burst quanta
         bool observer = false;       //!< overrides observesSystemAt
     };
 
@@ -481,9 +460,9 @@ class Engine
     Cycle cycle = 0;
     /**
      * Early-stop deadline for runUntil(): every run loop breaks when
-     * the clock reaches it, and every all-asleep jump / burst window is
-     * clamped to it so the stop lands on the exact cycle. cycleNever
-     * when a plain run() is active.
+     * the clock reaches it, and every all-asleep jump is clamped to it
+     * so the stop lands on the exact cycle. cycleNever when a plain
+     * run() is active.
      */
     Cycle stopAt_ = cycleNever;
     /**
@@ -500,20 +479,20 @@ class Engine
     bool progressed = false;
     EngineMode _mode = EngineMode::Skip;
     std::vector<SleepState> sleep_;
-    unsigned awake_ = 0; //!< slots not asleep (Skip mode)
+    unsigned awake_ = 0;    //!< slots not asleep (Skip mode)
+    unsigned deferred_ = 0; //!< slots asleep on a burst window
+    /**
+     * A mutation woke a deferred burster after its turn in the current
+     * round: the replay covered this round, so it counts as progress.
+     */
+    bool burstWakeProgress_ = false;
     bool skipActive_ = false;
-    /** Slot being ticked (progress attribution, wake horizons). */
+    /** Slot being ticked (wake horizons, trace emit slot). */
     unsigned currentSlot_ = 0;
     Cycle lastProgress = 0;
     std::uint64_t _fastForwards = 0;
     std::uint64_t _skippedCycles = 0;
     bool fastTier_ = false;
-    bool attributeProgress_ = false;
-    Cycle nextBurstTry_ = 0;
-    unsigned burstFailStreak_ = 0;         //!< consecutive failed attempts
-    std::vector<std::uint8_t> slotProg_;   //!< per-slot progress, 1 round
-    std::vector<unsigned> burstSlots_;     //!< scratch: bursting slots
-    std::vector<std::uint64_t> burstBits_; //!< scratch: progress bitmap
     std::uint64_t _burstAttempts = 0;
     std::uint64_t _bursts = 0;
     std::uint64_t _burstCycles = 0;

@@ -18,6 +18,12 @@
  *  - Observers (Component::observesSystemAt, i.e. the stats sampler)
  *    force a full catch-up before they tick, so counters they
  *    snapshot match the spin run.
+ *  - A deferred burster is a sleeper whose slept rounds are busy:
+ *    it is parked on the same sleep list (wakeAt = window end), woken
+ *    by the same hooks with the same horizons, and replayed with
+ *    burstRun instead of fastForward. Every round it covers counts as
+ *    progress — in the round loop, in the all-asleep jump, and for the
+ *    current round when a mutation wake replays it.
  */
 
 #include <algorithm>
@@ -38,18 +44,37 @@ Engine::replaySlot(unsigned slot, Cycle upTo)
         return;
     Component *c = components[slot];
     Cycle count = upTo - ss.sleptFrom;
-    if (_tracer) {
+    if (ss.burst) {
+        // Never traced: bursts are off while a tracer is attached.
+        c->burstRun(ss.sleptFrom, count, *this);
+        _burstCycles += count;
+    } else if (_tracer) {
         // Cycle-major within the component; the ordered merge
         // restores cycle-major order across components.
         trace::Tracer::setEmitSlot(slot);
         for (Cycle k = 0; k < count; ++k)
             c->fastForward(ss.sleptFrom + k, 1, *this);
         trace::Tracer::setEmitSlot(currentSlot_);
+        ++_fastForwards;
     } else {
         c->fastForward(ss.sleptFrom, count, *this);
+        ++_fastForwards;
     }
     ss.sleptFrom = upTo;
-    ++_fastForwards;
+}
+
+void
+Engine::wakeSlot(unsigned slot, Cycle upTo)
+{
+    SleepState &ss = sleep_[slot];
+    replaySlot(slot, upTo);
+    if (ss.burst) {
+        ss.burst = false;
+        --deferred_;
+    }
+    ss.asleep = false;
+    ss.idleTicks = 0;
+    ++awake_;
 }
 
 void
@@ -60,11 +85,10 @@ Engine::wakeComponentSlow(unsigned slot)
     // pre-mutation state), so the current round is replayed too and
     // the next live tick lands on the next round. Sleeper at or after
     // the mutating slot: it wakes in time to tick live this round.
-    SleepState &ss = sleep_[slot];
-    replaySlot(slot, slot < currentSlot_ ? cycle + 1 : cycle);
-    ss.asleep = false;
-    ss.idleTicks = 0;
-    ++awake_;
+    const bool past = slot < currentSlot_;
+    if (past && sleep_[slot].burst)
+        burstWakeProgress_ = true;
+    wakeSlot(slot, past ? cycle + 1 : cycle);
 }
 
 void
@@ -74,7 +98,8 @@ Engine::catchUpAll(Cycle upTo)
         if (!sleep_[s].asleep)
             continue;
         // Same round-order horizon rule as wakeComponentSlow, but the
-        // component stays asleep: its wake hint is still valid.
+        // component stays asleep: its wake hint (or burst window) is
+        // still valid.
         replaySlot(s, s < currentSlot_ ? upTo + 1 : upTo);
     }
 }
@@ -98,26 +123,21 @@ Engine::runSkip(Cycle max_cycles)
     const unsigned n = static_cast<unsigned>(components.size());
     sleep_.assign(n, SleepState{});
     awake_ = n;
+    deferred_ = 0;
+    burstWakeProgress_ = false;
+    const bool ordered = _tracer != nullptr;
+    // Superop bursts: a burst-capable component that progressed may
+    // defer a window of busy rounds (see engine.hh). Never while
+    // traced — the ordered merge needs every round's events live.
+    const bool burst = fastTier_ && !ordered;
     // Polled once: only observers return a finite cycle, and they do
     // from every call.
     for (unsigned s = 0; s < n; ++s) {
         sleep_[s].observer =
             components[s]->observesSystemAt(cycle) != Component::noEvent;
+        sleep_[s].burster = burst && components[s]->burstCapable();
     }
     currentSlot_ = 0;
-    const bool ordered = _tracer != nullptr;
-    // Superop bursts: an awake streaming component can take a
-    // multi-cycle quantum while every other slot is either asleep past
-    // the window or provably passive (attributed-quiescent with a
-    // future hint). Sleeping slots stay asleep and replay lazily, as
-    // across an all-asleep jump.
-    const bool burst = fastTier_ && !ordered;
-    attributeProgress_ = burst;
-    if (burst) {
-        slotProg_.assign(n, 0);
-        nextBurstTry_ = cycle;
-        burstFailStreak_ = 0;
-    }
     if (ordered)
         _tracer->beginOrdered(n);
     skipActive_ = true;
@@ -136,20 +156,15 @@ Engine::runSkip(Cycle max_cycles)
     while (!allDone() && cycle < stopAt_) {
         checkMaxCycles(start, max_cycles);
         bool roundProgress = false;
-        if (burst)
-            std::fill(slotProg_.begin(), slotProg_.end(),
-                      std::uint8_t(0));
         for (unsigned s = 0; s < n; ++s) {
             SleepState &ss = sleep_[s];
             if (ss.asleep) {
                 if (ss.wakeAt > cycle)
                     continue;
-                // Scheduled wake: replay the slept rounds, then tick
-                // live this round.
-                replaySlot(s, cycle);
-                ss.asleep = false;
-                ss.idleTicks = 0;
-                ++awake_;
+                // Scheduled wake (hint reached or burst window over):
+                // replay the deferred rounds, then tick live this
+                // round.
+                wakeSlot(s, cycle);
             }
             currentSlot_ = s;
             Component *c = components[s];
@@ -162,6 +177,21 @@ Engine::runSkip(Cycle max_cycles)
             if (progressed) {
                 roundProgress = true;
                 ss.idleTicks = 0;
+                if (!ss.burster)
+                    continue;
+                ++_burstAttempts;
+                Cycle q = c->burstQuantum(cycle + 1);
+                if (q == 0)
+                    continue;
+                // Park the burster like a sleeper; its rounds replay
+                // through burstRun when they must become visible.
+                ss.asleep = true;
+                ss.burst = true;
+                ss.sleptFrom = cycle + 1;
+                ss.wakeAt = cycle + 1 + q;
+                --awake_;
+                ++deferred_;
+                ++_bursts;
                 continue;
             }
             // Sleep only after two consecutive quiescent rounds:
@@ -183,7 +213,9 @@ Engine::runSkip(Cycle max_cycles)
         // Between rounds every slot's next tick is at `cycle`, so
         // replay horizons behave as if the mutator ran before slot 0.
         currentSlot_ = 0;
-        if (roundProgress) {
+        // A burster still deferred now either progressed live this
+        // round or has a window covering it.
+        if (roundProgress || deferred_ != 0 || burstWakeProgress_) {
             lastProgress = cycle;
         } else {
             ++statIdleCycles;
@@ -191,6 +223,7 @@ Engine::runSkip(Cycle max_cycles)
                 && cycle - lastProgress >= watchdogCycles)
                 watchdogExpired();
         }
+        burstWakeProgress_ = false;
         if (ordered) {
             // Events below every sleeper's replay resumption point and
             // the current cycle are final; release them in order.
@@ -201,20 +234,14 @@ Engine::runSkip(Cycle max_cycles)
             }
             _tracer->flushOrdered(watermark);
         }
-        if (burst && roundProgress && cycle >= nextBurstTry_
-            && attemptBurst(start, max_cycles)) {
-            if (watchdogCycles != 0
-                && cycle - lastProgress >= watchdogCycles)
-                watchdogExpired();
-            continue;
-        }
         if (awake_ != 0)
             continue;
-        // Every component is asleep: all rounds up to the earliest
-        // wake-up are idle replicas, so jump there in one step (the
-        // sleepers replay lazily on wake as usual). Clamped to the
-        // watchdog, max_cycles and runUntil deadlines so each fires at
-        // exactly the cycle the spin run reaches it.
+        // Every component is asleep or deferred: all rounds up to the
+        // earliest wake-up are replicas of their sleep or burst rounds,
+        // so jump there in one step (everyone replays lazily on wake
+        // as usual). Clamped to the watchdog, max_cycles and runUntil
+        // deadlines so each fires at exactly the cycle the spin run
+        // reaches it.
         Cycle target = Component::noEvent;
         for (const SleepState &ss : sleep_)
             target = std::min(target, ss.wakeAt);
@@ -237,8 +264,13 @@ Engine::runSkip(Cycle max_cycles)
             Cycle skip_n = target - cycle;
             cycle = target;
             statCycles += skip_n;
-            statIdleCycles += skip_n;
             _skippedCycles += skip_n;
+            // The jump ends no later than any deferred window, so a
+            // deferred burster progresses in every jumped round.
+            if (deferred_ != 0)
+                lastProgress = cycle;
+            else
+                statIdleCycles += skip_n;
         }
         if (watchdogCycles != 0 && cycle - lastProgress >= watchdogCycles)
             watchdogExpired();

@@ -3,9 +3,10 @@
  * Golden-equivalence suite for the engine modes: the per-component
  * skip scheduler must produce results bit-identical to the spin
  * reference — same cycle count, same statistics JSON (including the
- * sampled time series), same trace event stream — on every workload at
- * P = 4, with and without active fault injection, with the superop
- * fast tier on or off.
+ * sampled time series), same trace event stream — on every workload
+ * (the linear-algebra kernels at P = 4, a host-streaming conv2d at
+ * P = 16, tau = 4), with and without active fault injection, with the
+ * superop fast tier on or off.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "fault/fault.hh"
 #include "kernels/kernel_set.hh"
 #include "planner/linalg_plan.hh"
+#include "planner/signal_plan.hh"
 #include "trace/trace.hh"
 
 using namespace opac;
@@ -33,7 +35,25 @@ enum class Workload
     Lu,
     Trmm,
     Syrk,
+    /**
+     * Table 6.2's shape scaled down: 5x5 conv2d streamed by the host
+     * to P = 16 cells at tau = 4. The host stays busy on the bus
+     * while every cell runs its chained-FMA passes, so bursts must be
+     * per-component.
+     */
+    Conv,
 };
+
+/** Cell count each workload runs at in the golden comparisons. */
+unsigned
+cellsFor(Workload w)
+{
+    return w == Workload::Conv ? 16 : 4;
+}
+
+const Workload kAllLoads[] = {Workload::MatUpdate, Workload::Lu,
+                              Workload::Trmm, Workload::Syrk,
+                              Workload::Conv};
 
 const char *
 workloadName(Workload w)
@@ -47,6 +67,8 @@ workloadName(Workload w)
         return "trmm";
       case Workload::Syrk:
         return "syrk";
+      case Workload::Conv:
+        return "conv";
     }
     return "?";
 }
@@ -61,30 +83,44 @@ struct RunOut
     std::uint64_t bursts = 0;
 };
 
-/**
- * Active faults shared by every faulted run: correctable FIFO flips,
- * transient hangs and memory-latency spikes, dense enough (rate is
- * per Mcycle over the horizon) that several land inside even the
- * smallest workload here.
- */
-const char *kFaultSpec =
-    "seed=7,rate=500,horizon=20000,kinds=flip+hang+mem,bits=1";
+/** Fault plans of the faulted runs. */
+enum class Faults
+{
+    None,
+    /**
+     * Correctable FIFO flips, transient hangs and memory-latency
+     * spikes under parity=correct, dense enough (rate is per Mcycle
+     * over the horizon) that several land inside even the smallest
+     * workload here. Parity makes every queue unstreamable, so no
+     * burst is ever granted.
+     */
+    Corrected,
+    /**
+     * Hangs and memory spikes with parity off: bursts stay granted,
+     * so faults land inside deferred windows and wake their bursters.
+     */
+    Unprotected,
+};
 
 RunOut
 runWorkload(Workload w, unsigned p, EngineMode mode, bool traced,
-            bool faulted, bool fast_tier = true)
+            Faults faults, bool fast_tier = true)
 {
     CoprocConfig cfg;
     cfg.cells = p;
     cfg.cell.tf = 256;
-    cfg.host.tau = 2;
+    cfg.host.tau = w == Workload::Conv ? 4 : 2;
     cfg.watchdogCycles = 500000;
     cfg.statsSampleInterval = 64;
     cfg.engineMode = mode;
     cfg.fastTier = fast_tier;
-    if (faulted) {
-        cfg.faults = fault::parseFaultSpec(kFaultSpec);
+    if (faults == Faults::Corrected) {
+        cfg.faults = fault::parseFaultSpec(
+            "seed=7,rate=500,horizon=20000,kinds=flip+hang+mem,bits=1");
         cfg.cell.parity = fault::ParityMode::Correct;
+    } else if (faults == Faults::Unprotected) {
+        cfg.faults = fault::parseFaultSpec(
+            "seed=7,rate=500,horizon=20000,kinds=hang+mem");
     }
     Coprocessor sys(cfg);
     kernels::installStandardKernels(sys);
@@ -126,6 +162,29 @@ runWorkload(Workload w, unsigned p, EngineMode mode, bool traced,
         plan.syrkLower(c, a);
         break;
       }
+      case Workload::Conv: {
+        // 16 columns per cell: passes long enough for the dense
+        // steady state to outlast the pipeline ramp.
+        const std::size_t rows = 8, cols = 256;
+        const unsigned kp = 5, kq = 5;
+        MatRef image_t = allocMat(sys.memory(), cols + kq - 1, rows + kp);
+        MatRef wr = allocMat(sys.memory(), kp, kq);
+        MatRef out_t = allocMat(sys.memory(), cols, rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t c = 0; c < cols; ++c) {
+                sys.memory().storeF(image_t.addrOf(c, r),
+                                    float((r * 7 + c * 3) % 11) - 5.0f);
+            }
+        }
+        for (unsigned i = 0; i < kp; ++i) {
+            for (unsigned j = 0; j < kq; ++j)
+                sys.memory().storeF(wr.addrOf(i, j), 0.25f * (i + j));
+        }
+        SignalPlanner sig(sys);
+        sig.conv2d(image_t, wr, out_t, rows, cols);
+        sig.commit();
+        break;
+      }
     }
     plan.commit();
 
@@ -165,11 +224,12 @@ const EngineMode kModes[] = {EngineMode::Spin, EngineMode::Skip};
 
 TEST(EngineModes, EveryWorkloadMatchesSpinUnderSkip)
 {
-    const Workload loads[] = {Workload::MatUpdate, Workload::Lu,
-                              Workload::Trmm, Workload::Syrk};
-    for (Workload w : loads) {
-        RunOut spin = runWorkload(w, 4, EngineMode::Spin, false, false);
-        RunOut got = runWorkload(w, 4, EngineMode::Skip, false, false);
+    for (Workload w : kAllLoads) {
+        const unsigned p = cellsFor(w);
+        RunOut spin =
+            runWorkload(w, p, EngineMode::Spin, false, Faults::None);
+        RunOut got =
+            runWorkload(w, p, EngineMode::Skip, false, Faults::None);
         EXPECT_EQ(spin.cycles, got.cycles) << workloadName(w);
         EXPECT_EQ(spin.statsJson, got.statsJson) << workloadName(w);
     }
@@ -181,8 +241,10 @@ TEST(EngineModes, TraceStreamIsIdenticalUnderSkip)
     // ORDER, not just the same multiset of events.
     const Workload loads[] = {Workload::MatUpdate, Workload::Lu};
     for (Workload w : loads) {
-        RunOut spin = runWorkload(w, 4, EngineMode::Spin, true, false);
-        RunOut got = runWorkload(w, 4, EngineMode::Skip, true, false);
+        RunOut spin =
+            runWorkload(w, 4, EngineMode::Spin, true, Faults::None);
+        RunOut got =
+            runWorkload(w, 4, EngineMode::Skip, true, Faults::None);
         EXPECT_EQ(spin.cycles, got.cycles) << workloadName(w);
         expectSameEvents(spin.events, got.events, workloadName(w));
     }
@@ -194,12 +256,26 @@ TEST(EngineModes, FaultedRunsMatchUnderSkip)
     // wake-before-mutation hook; the stats JSON (fault counters,
     // recovery actions, sampled series) must not depend on the mode.
     RunOut spin = runWorkload(Workload::MatUpdate, 4, EngineMode::Spin,
-                              true, true);
+                              true, Faults::Corrected);
     RunOut got = runWorkload(Workload::MatUpdate, 4, EngineMode::Skip,
-                             true, true);
+                             true, Faults::Corrected);
     EXPECT_EQ(spin.cycles, got.cycles);
     EXPECT_EQ(spin.statsJson, got.statsJson);
     expectSameEvents(spin.events, got.events, "faulted");
+
+    // Unprotected hangs landing inside deferred burst windows (the
+    // untraced skip run bursts): the woken burster's replay must stop
+    // exactly where the fault freezes it.
+    for (Workload w : {Workload::MatUpdate, Workload::Conv}) {
+        const unsigned p = cellsFor(w);
+        RunOut ref = runWorkload(w, p, EngineMode::Spin, false,
+                                 Faults::Unprotected);
+        RunOut sk = runWorkload(w, p, EngineMode::Skip, false,
+                                Faults::Unprotected);
+        EXPECT_EQ(ref.cycles, sk.cycles) << workloadName(w);
+        EXPECT_EQ(ref.statsJson, sk.statsJson) << workloadName(w);
+        EXPECT_GT(sk.bursts, 0u) << workloadName(w);
+    }
 }
 
 TEST(EngineModes, SamplerSeriesIsPresentAndModeIndependent)
@@ -208,10 +284,10 @@ TEST(EngineModes, SamplerSeriesIsPresentAndModeIndependent)
     // both modes (observesSystemAt forces a full catch-up first), so
     // the sampled series is part of the byte-identical contract.
     RunOut spin = runWorkload(Workload::Lu, 2, EngineMode::Spin, false,
-                              false);
+                              Faults::None);
     ASSERT_NE(spin.statsJson.find("\"samples\""), std::string::npos);
     RunOut got = runWorkload(Workload::Lu, 2, EngineMode::Skip, false,
-                             false);
+                             Faults::None);
     EXPECT_EQ(spin.statsJson, got.statsJson);
 }
 
@@ -225,7 +301,7 @@ TEST(EngineModes, SkipModeSleepsOnStallHeavyRuns)
     // sleeping and the all-asleep jump must engage there or the skip
     // scheduler is dead code.
     RunOut sk = runWorkload(Workload::Lu, 1, EngineMode::Skip, false,
-                            false);
+                            Faults::None);
     EXPECT_GT(sk.fastForwards, 0u);
     EXPECT_GT(sk.skippedCycles, 0u);
     EXPECT_LE(sk.skippedCycles, sk.cycles);
@@ -243,12 +319,11 @@ TEST(EngineModes, SkipModeSleepsOnStallHeavyRuns)
 
 TEST(FastTier, OnMatchesOffInEveryModeEveryWorkload)
 {
-    const Workload loads[] = {Workload::MatUpdate, Workload::Lu,
-                              Workload::Trmm, Workload::Syrk};
-    for (Workload w : loads) {
+    for (Workload w : kAllLoads) {
+        const unsigned p = cellsFor(w);
         for (EngineMode m : kModes) {
-            RunOut off = runWorkload(w, 4, m, false, false, false);
-            RunOut on = runWorkload(w, 4, m, false, false, true);
+            RunOut off = runWorkload(w, p, m, false, Faults::None, false);
+            RunOut on = runWorkload(w, p, m, false, Faults::None, true);
             EXPECT_EQ(off.cycles, on.cycles)
                 << workloadName(w) << " mode=" << sim::engineModeName(m);
             EXPECT_EQ(off.statsJson, on.statsJson)
@@ -263,10 +338,10 @@ TEST(FastTier, TracedRunsMatchOnVsOffInEveryMode)
     // need per-cycle event edges), but the flag must still be inert:
     // identical cycles, stats and event ORDER either way.
     for (EngineMode m : kModes) {
-        RunOut off = runWorkload(Workload::MatUpdate, 4, m, true, false,
-                                 false);
-        RunOut on = runWorkload(Workload::MatUpdate, 4, m, true, false,
-                                true);
+        RunOut off = runWorkload(Workload::MatUpdate, 4, m, true,
+                                 Faults::None, false);
+        RunOut on = runWorkload(Workload::MatUpdate, 4, m, true,
+                                Faults::None, true);
         EXPECT_EQ(off.cycles, on.cycles)
             << "mode=" << sim::engineModeName(m);
         EXPECT_EQ(off.statsJson, on.statsJson)
@@ -279,19 +354,31 @@ TEST(FastTier, TracedRunsMatchOnVsOffInEveryMode)
 
 TEST(FastTier, FaultedRunsMatchOnVsOffInEveryMode)
 {
-    // Active fault plans are the hard case: the injector's event
-    // horizon must clamp every burst window, armed faults must refuse
-    // streaming, and recovery hangs must freeze the fallback path —
-    // or the faulted timeline diverges between tier settings.
-    for (EngineMode m : kModes) {
-        RunOut off = runWorkload(Workload::MatUpdate, 4, m, false, true,
-                                 false);
-        RunOut on = runWorkload(Workload::MatUpdate, 4, m, false, true,
-                                true);
-        EXPECT_EQ(off.cycles, on.cycles)
-            << "mode=" << sim::engineModeName(m);
-        EXPECT_EQ(off.statsJson, on.statsJson)
-            << "mode=" << sim::engineModeName(m);
+    // Active fault plans are the hard case: armed faults must refuse
+    // streaming, and every hang or reset must wake a deferred burster
+    // and freeze it at exactly the fault's cycle — or the faulted
+    // timeline diverges between tier settings. Corrected faults run
+    // with parity on (no burst is granted); unprotected hangs and
+    // memory spikes leave parity off, so they land inside windows.
+    struct Case
+    {
+        Workload w;
+        Faults faults;
+    };
+    const Case cases[] = {{Workload::MatUpdate, Faults::Corrected},
+                          {Workload::MatUpdate, Faults::Unprotected},
+                          {Workload::Conv, Faults::Unprotected}};
+    for (const Case &c : cases) {
+        const unsigned p = cellsFor(c.w);
+        for (EngineMode m : kModes) {
+            RunOut off = runWorkload(c.w, p, m, false, c.faults, false);
+            RunOut on = runWorkload(c.w, p, m, false, c.faults, true);
+            std::string what = std::string(workloadName(c.w))
+                               + " faults=" + std::to_string(int(c.faults))
+                               + " mode=" + sim::engineModeName(m);
+            EXPECT_EQ(off.cycles, on.cycles) << what;
+            EXPECT_EQ(off.statsJson, on.statsJson) << what;
+        }
     }
 }
 
@@ -301,9 +388,9 @@ TEST(FastTier, FaultedTracedRunsMatchOnVsOff)
     // while the fault machinery runs — stats, cycles and the full
     // event stream must be identical on vs off.
     RunOut off = runWorkload(Workload::MatUpdate, 4, EngineMode::Skip,
-                             true, true, false);
+                             true, Faults::Corrected, false);
     RunOut on = runWorkload(Workload::MatUpdate, 4, EngineMode::Skip,
-                            true, true, true);
+                            true, Faults::Corrected, true);
     EXPECT_EQ(off.cycles, on.cycles);
     EXPECT_EQ(off.statsJson, on.statsJson);
     expectSameEvents(off.events, on.events, "faulted traced tier");
@@ -314,11 +401,24 @@ TEST(FastTier, BurstsEngageOnSteadyStreamingLoops)
     // The tier must actually fire on its target workload (untraced
     // streaming matrix update) or the whole fast path is dead code.
     RunOut on = runWorkload(Workload::MatUpdate, 1, EngineMode::Skip,
-                            false, false, true);
+                            false, Faults::None, true);
     EXPECT_GT(on.bursts, 0u);
     RunOut off = runWorkload(Workload::MatUpdate, 1, EngineMode::Skip,
-                             false, false, false);
+                             false, Faults::None, false);
     EXPECT_EQ(off.bursts, 0u);
+}
+
+TEST(FastTier, BurstsEngageWhileTheHostStreams)
+{
+    // Host-paced conv2d: the host pushes a bus word every tau cycles
+    // for the whole run, so no machine-wide quiet window ever exists.
+    // Cells must still burst their chained-FMA passes individually.
+    RunOut on = runWorkload(Workload::Conv, 16, EngineMode::Skip, false,
+                            Faults::None, true);
+    EXPECT_GT(on.bursts, 0u);
+    RunOut spin = runWorkload(Workload::Conv, 16, EngineMode::Spin,
+                              false, Faults::None, true);
+    EXPECT_EQ(spin.bursts, 0u);
 }
 
 TEST(EngineModes, ParseAndNameRoundTrip)

@@ -28,6 +28,7 @@
 #include "fault/fault.hh"
 #include "kernels/kernel_set.hh"
 #include "planner/linalg_plan.hh"
+#include "planner/signal_plan.hh"
 #include "serve/server.hh"
 #include "snap/snapshot.hh"
 #include "trace/sinks.hh"
@@ -47,13 +48,27 @@ namespace
 const char *kFaultSpec =
     "seed=7,rate=500,horizon=20000,kinds=flip+hang+mem,bits=1";
 
+/** The planned workloads. */
+enum class Load
+{
+    MatUpdate,
+    Lu,
+    /**
+     * Host-streaming 5x5 conv2d at P = 16, tau = 4 (table 6.2's
+     * shape, scaled down): cells defer burst windows while the host
+     * keeps feeding the bus, so a stop lands inside a deferred window.
+     */
+    Conv,
+};
+
 CoprocConfig
-baseConfig(EngineMode mode, bool fast_tier, bool faulted)
+baseConfig(EngineMode mode, bool fast_tier, bool faulted,
+           Load load = Load::MatUpdate)
 {
     CoprocConfig cfg;
-    cfg.cells = 4;
+    cfg.cells = load == Load::Conv ? 16 : 4;
     cfg.cell.tf = 256;
-    cfg.host.tau = 2;
+    cfg.host.tau = load == Load::Conv ? 4 : 2;
     cfg.watchdogCycles = 500000;
     cfg.statsSampleInterval = 64;
     cfg.engineMode = mode;
@@ -65,17 +80,38 @@ baseConfig(EngineMode mode, bool fast_tier, bool faulted)
     return cfg;
 }
 
-/** Build the machine and plan the workload (matupdate or LU — both
- *  use only preinstalled microcode, so traced runs intern identical
- *  track sets on restore). */
+/** Build the machine and plan the workload (matupdate and LU use
+ *  only preinstalled microcode, so traced runs intern identical track
+ *  sets on restore; conv2d installs its generated microcode at plan
+ *  time, the same entry on every build). */
 std::unique_ptr<Coprocessor>
-buildPlanned(const CoprocConfig &cfg, bool lu)
+buildPlanned(const CoprocConfig &cfg, Load load)
 {
     auto sys = std::make_unique<Coprocessor>(cfg);
     kernels::installStandardKernels(*sys);
+    if (load == Load::Conv) {
+        const std::size_t rows = 8, cols = 256;
+        MatRef image_t = allocMat(sys->memory(), cols + 4, rows + 5);
+        MatRef wr = allocMat(sys->memory(), 5, 5);
+        MatRef out_t = allocMat(sys->memory(), cols, rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t c = 0; c < cols; ++c) {
+                sys->memory().storeF(image_t.addrOf(c, r),
+                                     float((r * 7 + c * 3) % 11) - 5.0f);
+            }
+        }
+        for (std::size_t i = 0; i < 5; ++i) {
+            for (std::size_t j = 0; j < 5; ++j)
+                sys->memory().storeF(wr.addrOf(i, j), 0.25f * (i + j));
+        }
+        SignalPlanner plan(*sys);
+        plan.conv2d(image_t, wr, out_t, rows, cols);
+        plan.commit();
+        return sys;
+    }
     LinalgPlanner plan(*sys);
     const std::size_t n = 24, k = 40;
-    if (lu) {
+    if (load == Load::Lu) {
         MatRef a = allocMat(sys->memory(), n, n);
         for (std::size_t i = 0; i < n; ++i)
             sys->memory().storeF(a.addrOf(i, i), 2.0f);
@@ -120,11 +156,38 @@ finishOut(Coprocessor &sys)
 
 /** Uninterrupted reference run. */
 RunOut
-runStraight(const CoprocConfig &cfg, bool lu)
+runStraight(const CoprocConfig &cfg, Load load)
 {
-    auto sys = buildPlanned(cfg, lu);
+    auto sys = buildPlanned(cfg, load);
     sys->run();
     return finishOut(*sys);
+}
+
+/**
+ * The first cycle at or after @p from at which some cell of the conv
+ * workload (skip mode, fast tier on) is inside a deferred burst
+ * window, so runUntil() must materialize a window prefix. Detected by
+ * the grant count: a stop inside a window makes the resumed run tick
+ * that cell live once and grant the window's remainder again, one
+ * grant more than the uninterrupted run. Returns 0 if none is found
+ * within a short scan.
+ */
+Cycle
+stopInsideBurst(Cycle from)
+{
+    const CoprocConfig cfg =
+        baseConfig(EngineMode::Skip, true, false, Load::Conv);
+    auto straight = buildPlanned(cfg, Load::Conv);
+    straight->run();
+    const std::uint64_t grants = straight->engine().bursts();
+    for (Cycle stop = from; stop < from + 64; ++stop) {
+        auto sys = buildPlanned(cfg, Load::Conv);
+        sys->runUntil(stop);
+        sys->run();
+        if (sys->engine().bursts() > grants)
+            return stop;
+    }
+    return 0;
 }
 
 const EngineMode kAllModes[] = {EngineMode::Spin, EngineMode::Skip};
@@ -252,22 +315,35 @@ TEST(SnapContainer, WriteFileIsAtomicAndReadable)
 TEST(SnapshotResume, PauseAndContinueIsByteIdentical)
 {
     // runUntil(N) + run() in the same system must equal run(), for
-    // both engine modes and fast-tier settings.
-    for (EngineMode mode : kAllModes) {
-        for (bool fast : {true, false}) {
-            CoprocConfig cfg = baseConfig(mode, fast, false);
-            RunOut ref = runStraight(cfg, false);
-            auto sys = buildPlanned(cfg, false);
-            sys->runUntil(ref.endCycle / 2);
-            EXPECT_EQ(sys->engine().now(), ref.endCycle / 2);
-            sys->run();
-            RunOut got = finishOut(*sys);
-            std::string what =
-                std::string("mode=") + sim::engineModeName(mode)
-                + " fast=" + (fast ? "on" : "off");
-            EXPECT_EQ(ref.endCycle, got.endCycle) << what;
-            EXPECT_EQ(ref.statsJson, got.statsJson) << what;
-            EXPECT_EQ(ref.memSum, got.memSum) << what;
+    // both engine modes and fast-tier settings. For conv2d, N falls
+    // inside a deferred burst window, so the stop materializes a
+    // window prefix.
+    for (Load load : {Load::MatUpdate, Load::Conv}) {
+        const Cycle half =
+            runStraight(baseConfig(EngineMode::Skip, true, false, load),
+                        load)
+                .endCycle
+            / 2;
+        const Cycle stop =
+            load == Load::Conv ? stopInsideBurst(half) : half;
+        ASSERT_NE(stop, 0u);
+        for (EngineMode mode : kAllModes) {
+            for (bool fast : {true, false}) {
+                CoprocConfig cfg = baseConfig(mode, fast, false, load);
+                RunOut ref = runStraight(cfg, load);
+                auto sys = buildPlanned(cfg, load);
+                sys->runUntil(stop);
+                EXPECT_EQ(sys->engine().now(), stop);
+                sys->run();
+                RunOut got = finishOut(*sys);
+                std::string what =
+                    std::string("load=") + std::to_string(int(load))
+                    + " mode=" + sim::engineModeName(mode)
+                    + " fast=" + (fast ? "on" : "off");
+                EXPECT_EQ(ref.endCycle, got.endCycle) << what;
+                EXPECT_EQ(ref.statsJson, got.statsJson) << what;
+                EXPECT_EQ(ref.memSum, got.memSum) << what;
+            }
         }
     }
 }
@@ -277,40 +353,49 @@ TEST(SnapshotResume, RestoredSystemFinishesByteIdentical)
     // Snapshot at N, restore into a freshly built machine (as another
     // process would), finish there: cycles, stats JSON (with the
     // sampler series) and the memory image all match the
-    // uninterrupted run. Resume may also switch engine modes.
-    for (EngineMode mode : kAllModes) {
-        CoprocConfig cfg = baseConfig(mode, true, false);
-        RunOut ref = runStraight(cfg, false);
+    // uninterrupted run. Resume may also switch engine modes. For
+    // conv2d, N falls inside a deferred burst window.
+    for (Load load : {Load::MatUpdate, Load::Conv}) {
+        for (EngineMode mode : kAllModes) {
+            CoprocConfig cfg = baseConfig(mode, true, false, load);
+            RunOut ref = runStraight(cfg, load);
+            const Cycle stop = load == Load::Conv
+                                   ? stopInsideBurst(ref.endCycle / 2)
+                                   : ref.endCycle / 2;
+            ASSERT_NE(stop, 0u);
 
-        auto a = buildPlanned(cfg, false);
-        a->runUntil(ref.endCycle / 2);
-        snap::Snapshot snap = a->takeSnapshot();
-        EXPECT_EQ(snap.cycle, ref.endCycle / 2);
-        a.reset();
+            auto a = buildPlanned(cfg, load);
+            a->runUntil(stop);
+            snap::Snapshot snap = a->takeSnapshot();
+            EXPECT_EQ(snap.cycle, stop);
+            a.reset();
 
-        // Same mode...
-        auto b = buildPlanned(cfg, false);
-        b->restoreSnapshot(snap);
-        EXPECT_EQ(b->engine().now(), ref.endCycle / 2);
-        b->run();
-        RunOut got = finishOut(*b);
-        std::string what =
-            std::string("mode=") + sim::engineModeName(mode);
-        EXPECT_EQ(ref.endCycle, got.endCycle) << what;
-        EXPECT_EQ(ref.statsJson, got.statsJson) << what;
-        EXPECT_EQ(ref.memSum, got.memSum) << what;
+            // Same mode...
+            auto b = buildPlanned(cfg, load);
+            b->restoreSnapshot(snap);
+            EXPECT_EQ(b->engine().now(), stop);
+            b->run();
+            RunOut got = finishOut(*b);
+            std::string what = std::string("load=")
+                               + std::to_string(int(load)) + " mode="
+                               + sim::engineModeName(mode);
+            EXPECT_EQ(ref.endCycle, got.endCycle) << what;
+            EXPECT_EQ(ref.statsJson, got.statsJson) << what;
+            EXPECT_EQ(ref.memSum, got.memSum) << what;
 
-        // ...and resumed under a different mode + fast tier.
-        CoprocConfig other = baseConfig(
-            mode == EngineMode::Spin ? EngineMode::Skip : EngineMode::Spin,
-            false, false);
-        auto c = buildPlanned(other, false);
-        c->restoreSnapshot(snap);
-        c->run();
-        RunOut cross = finishOut(*c);
-        EXPECT_EQ(ref.endCycle, cross.endCycle) << what << " cross";
-        EXPECT_EQ(ref.statsJson, cross.statsJson) << what << " cross";
-        EXPECT_EQ(ref.memSum, cross.memSum) << what << " cross";
+            // ...and resumed under a different mode + fast tier.
+            CoprocConfig other = baseConfig(
+                mode == EngineMode::Spin ? EngineMode::Skip
+                                         : EngineMode::Spin,
+                false, false, load);
+            auto c = buildPlanned(other, load);
+            c->restoreSnapshot(snap);
+            c->run();
+            RunOut cross = finishOut(*c);
+            EXPECT_EQ(ref.endCycle, cross.endCycle) << what << " cross";
+            EXPECT_EQ(ref.statsJson, cross.statsJson) << what << " cross";
+            EXPECT_EQ(ref.memSum, cross.memSum) << what << " cross";
+        }
     }
 }
 
@@ -321,16 +406,17 @@ TEST(SnapshotResume, SurvivesFileRoundTripUnderFaults)
     // resumed in a fresh machine, for both workload shapes.
     for (bool lu : {false, true}) {
         CoprocConfig cfg = baseConfig(EngineMode::Skip, true, true);
-        RunOut ref = runStraight(cfg, lu);
+        const Load load = lu ? Load::Lu : Load::MatUpdate;
+        RunOut ref = runStraight(cfg, load);
 
         const std::string path =
             tmpPath(lu ? "faulted_lu.snap" : "faulted_mu.snap");
-        auto a = buildPlanned(cfg, lu);
+        auto a = buildPlanned(cfg, load);
         a->runUntil(ref.endCycle / 2);
         a->saveSnapshot(path);
         a.reset();
 
-        auto b = buildPlanned(cfg, lu);
+        auto b = buildPlanned(cfg, load);
         b->loadSnapshot(path);
         b->run();
         RunOut got = finishOut(*b);
@@ -349,7 +435,7 @@ TEST(SnapshotResume, TraceStreamSplitsExactly)
 
     trace::Tracer refTracer;
     trace::VectorSink refSink;
-    auto ref = buildPlanned(cfg, false);
+    auto ref = buildPlanned(cfg, Load::MatUpdate);
     refTracer.addSink(&refSink);
     ref->attachTracer(&refTracer);
     ref->run();
@@ -358,7 +444,7 @@ TEST(SnapshotResume, TraceStreamSplitsExactly)
 
     trace::Tracer preTracer;
     trace::VectorSink preSink;
-    auto a = buildPlanned(cfg, false);
+    auto a = buildPlanned(cfg, Load::MatUpdate);
     preTracer.addSink(&preSink);
     a->attachTracer(&preTracer);
     a->runUntil(end / 2);
@@ -368,7 +454,7 @@ TEST(SnapshotResume, TraceStreamSplitsExactly)
 
     trace::Tracer postTracer;
     trace::VectorSink postSink;
-    auto b = buildPlanned(cfg, false);
+    auto b = buildPlanned(cfg, Load::MatUpdate);
     postTracer.addSink(&postSink);
     b->attachTracer(&postTracer);
     b->restoreSnapshot(snap);
@@ -393,7 +479,7 @@ TEST(SnapshotResume, TraceStreamSplitsExactly)
 TEST(SnapshotResume, WrongConfigurationIsRejected)
 {
     CoprocConfig cfg = baseConfig(EngineMode::Skip, true, false);
-    auto a = buildPlanned(cfg, false);
+    auto a = buildPlanned(cfg, Load::MatUpdate);
     a->runUntil(500);
     snap::Snapshot snap = a->takeSnapshot();
     a.reset();
