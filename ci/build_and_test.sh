@@ -40,6 +40,25 @@ plain="$build_root/plain"
 "$plain/tools/trace_report" "$plain/trace_smoke.json" > /dev/null
 echo "trace smoke test OK"
 
+# Stats identity across execution tiers: the spin reference loop with
+# the fast tier off and the default skip scheduler with the tier on
+# must write byte-identical stats JSON (counters, occupancy
+# distributions, sampled series), fault-free and under an unprotected
+# hang/memory plan whose faults land inside deferred burst windows.
+echo "=== stats identity (spin, tier off vs skip, tier on) ==="
+for faults in "" \
+    "--faults=seed=11,rate=60,horizon=400000,kinds=hang+mem --parity=off"
+do
+    # shellcheck disable=SC2086
+    (cd "$plain" && ./bench/table_6_1 --quick $faults --engine=spin \
+        --fast-tier=off --stats=stats_spin.json > /dev/null)
+    # shellcheck disable=SC2086
+    (cd "$plain" && ./bench/table_6_1 --quick $faults \
+        --stats=stats_skip.json > /dev/null)
+    cmp "$plain/stats_spin.json" "$plain/stats_skip.json"
+done
+echo "stats identity OK"
+
 # Serve concurrency under TSan: every engine runs on one thread, so the
 # job server's shard workers (one engine per shard on its own thread,
 # plus the submit/deliver locking) are the only intra-process

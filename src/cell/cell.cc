@@ -100,6 +100,11 @@ Cell::Cell(std::string name, const CellConfig &cfg,
     for (TimedFifo *q : queueTab)
         q->setWakeTargets(this, nullptr);
     _tpi.setWakeTargets(this, nullptr);
+
+    // Occupancy is tracked on the local queues only, from the
+    // engine's first round.
+    for (TimedFifo *q : localQueues())
+        q->trackOccupancy(0);
 }
 
 std::uint64_t
@@ -205,35 +210,9 @@ Cell::loadMicrocode(Word entry, isa::Program prog, unsigned nparams)
 TimedFifo *
 Cell::queueFor(Src s)
 {
-    switch (s) {
-      case Src::TpX:
-        return &_tpx;
-      case Src::TpY:
-        return &_tpy;
-      case Src::Sum:
-      case Src::SumR:
-        return &_sum;
-      case Src::Ret:
-      case Src::RetR:
-        return &_ret;
-      case Src::Reby:
-      case Src::RebyR:
-        return &_reby;
-      default:
-        return nullptr;
-    }
+    unsigned q = isa::cellQueueOf(s);
+    return q < isa::numCellQueues ? queueTab[q] : nullptr;
 }
-
-namespace
-{
-
-bool
-isRecirc(Src s)
-{
-    return s == Src::SumR || s == Src::RetR || s == Src::RebyR;
-}
-
-} // anonymous namespace
 
 StallCause
 Cell::checkHazards(const isa::DecodedInstr &d, Cycle now) const
@@ -295,7 +274,7 @@ Cell::readOperand(const isa::Operand &op, Cycle now, Word mul_out)
         return floatToWord(1.0f);
       default: {
         TimedFifo *q = queueFor(op.kind);
-        if (isRecirc(op.kind))
+        if (isa::isRecirc(op.kind))
             return q->recirculate(now);
         return q->pop(now);
       }
@@ -781,19 +760,12 @@ Cell::tick(sim::Engine &engine)
     Cycle now = engine.now();
     if (_faulted || now < hangUntil) {
         // Frozen: sequencer and writeback stand still, the queues keep
-        // accepting pushes from the host. Occupancy sampling continues
-        // so a faulted run's stats stay comparable.
+        // accepting pushes from the host.
         ++statHangCycles;
-        _sum.sampleOccupancy();
-        _ret.sampleOccupancy();
-        _reby.sampleOccupancy();
         return;
     }
     drainWritebacks(now, engine);
     tickSequencer(now, engine);
-    _sum.sampleOccupancy();
-    _ret.sampleOccupancy();
-    _reby.sampleOccupancy();
 }
 
 Cycle
@@ -848,15 +820,12 @@ Cell::fastForward(Cycle from, Cycle cycles, sim::Engine &engine)
         // The skip window cannot cross hangUntil (nextEventAt reports
         // it), so every replayed round is a frozen one.
         statHangCycles += cycles;
-        _sum.sampleOccupancy(cycles);
-        _ret.sampleOccupancy(cycles);
-        _reby.sampleOccupancy(cycles);
         return;
     }
     // Replay what tick() did in the quiescent round being replicated:
     // the sequencer's per-state busy/stall accounting (no drainable
     // writebacks and no state change by construction of the skip
-    // window), then the per-cycle occupancy samples.
+    // window).
     switch (state) {
       case SeqState::Idle:
         statIdle += cycles;
@@ -916,9 +885,13 @@ Cell::fastForward(Cycle from, Cycle cycles, sim::Engine &engine)
         break;
       }
     }
-    _sum.sampleOccupancy(cycles);
-    _ret.sampleOccupancy(cycles);
-    _reby.sampleOccupancy(cycles);
+}
+
+void
+Cell::settleAt(Cycle now)
+{
+    for (TimedFifo *q : localQueues())
+        q->settleOccupancy(now);
 }
 
 bool
@@ -973,6 +946,10 @@ Cell::markDead(Cycle now)
     wakeForMutation();
     hardReset(now);
     _dead = true;
+    // The reset closed the occupancy intervals at `now`; a dead cell's
+    // rounds are not sampled.
+    for (TimedFifo *q : localQueues())
+        q->trackOccupancy(cycleNever);
     opac_warn_once("%s: marked dead at cycle %llu", name().c_str(),
                    (unsigned long long)now);
 }
@@ -1191,6 +1168,12 @@ Cell::loadState(snap::Reader &r, std::uint32_t version)
     for (TimedFifo *q :
          {&_tpx, &_tpy, &_tpo, &_tpi, &_sum, &_ret, &_reby})
         q->loadState(r);
+
+    // The restored stats tree credits every round before the restored
+    // clock (the engine section loads first); a dead cell stays
+    // untracked.
+    for (TimedFifo *q : localQueues())
+        q->trackOccupancy(_dead ? cycleNever : clock());
 
     // Derived caches rebuild lazily against the restored state.
     fastBodies.clear();

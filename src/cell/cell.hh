@@ -172,6 +172,9 @@ class Cell : public sim::Component
     void fastForward(Cycle from, Cycle cycles,
                      sim::Engine &engine) override;
 
+    /** Close the sum/ret/reby occupancy intervals at @p now. */
+    void settleAt(Cycle now) override;
+
     /**
      * Superop fast tier (src/cell/fast_tier.cc): when the sequencer
      * streams a canonical chained-FMA loop body in its dense steady
@@ -316,6 +319,12 @@ class Cell : public sim::Component
     };
 
     // -- helpers -------------------------------------------------------
+    /** The local queues, the ones whose occupancy is tracked. */
+    std::array<TimedFifo *, 3>
+    localQueues()
+    {
+        return {&_sum, &_ret, &_reby};
+    }
     TimedFifo *queueFor(isa::Src s);
     Word readOperand(const isa::Operand &op, Cycle now, Word mul_out);
     StallCause checkHazards(const isa::DecodedInstr &d, Cycle now) const;

@@ -41,9 +41,10 @@
  * Under these conditions each cycle is: land one result into the
  * popped queue, wrap, recirculate the mul operand, pop the addend,
  * issue. burstRun executes that as two ring operations plus the FP
- * ops and settles every counter, watermark and occupancy sample in
- * bulk afterwards; the steady state reproduces itself, so a window may
- * be executed in several consecutive chunks.
+ * ops and settles every counter and watermark in bulk afterwards
+ * (occupancy needs nothing: the queues credit it at count changes,
+ * and a window changes no count); the steady state reproduces itself,
+ * so a window may be executed in several consecutive chunks.
  */
 
 #include "cell/cell.hh"
@@ -58,14 +59,6 @@ using isa::Src;
 
 namespace
 {
-
-/** True for the head-to-tail loop-back read kinds (cell.cc has its
- *  own copy in file scope). */
-bool
-isRecirc(Src s)
-{
-    return s == Src::SumR || s == Src::RetR || s == Src::RebyR;
-}
 
 /** Deepest FP pipeline burstRun() handles (mulLatency + addLatency). */
 constexpr unsigned kMaxTurboDepth = 16;
@@ -139,7 +132,7 @@ Cell::fastBodyFor(std::size_t body_pc)
         const isa::DecodedInstr &d = current->prog.decodedAt(body_pc);
         if (d.mulActive && d.addActive && d.addAFromMul && !d.mvActive
             && d.numNeeds == 0 && !d.wawAy && d.numWawRegs == 0
-            && isRecirc(in.mulA.kind) && isScalarOperand(in.mulB.kind)
+            && isa::isRecirc(in.mulA.kind) && isScalarOperand(in.mulB.kind)
             && dstBitFor(in.addB.kind) != 0
             && in.dstMask == dstBitFor(in.addB.kind)
             && in.mvDstMask == 0
@@ -244,13 +237,10 @@ Cell::burstRun(Cycle from, Cycle cycles, sim::Engine &engine)
     }
 
     // Settle everything the per-cycle path would have left behind.
-    // Queue occupancies are invariant (one push and one pop per cycle
-    // on each streamed queue), so the per-cycle samples collapse.
+    // Queue counts are invariant (one push and one pop per cycle on
+    // each streamed queue), so occupancy has nothing to credit.
     popq->streamCommit(w, true);
     rotq->streamCommit(w, false);
-    _sum.sampleOccupancy(w);
-    _ret.sampleOccupancy(w);
-    _reby.sampleOccupancy(w);
     if (token)
         fpu->countBulk(w);
     for (unsigned j = 0; j < depth; ++j) {

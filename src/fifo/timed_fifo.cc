@@ -32,6 +32,7 @@ TimedFifo::push(Word w, Cycle now)
     opac_assert(space() > 0, "push on full FIFO '%s' (cap %zu)",
                 _name.c_str(), _capacity);
     notifyMutation();
+    creditOccupancy(now);
     ring[(head + count) & mask] = Entry{w, now + latency, encodeWord(w)};
     ++count;
     ++pushes;
@@ -58,6 +59,7 @@ TimedFifo::pushReserved(Word w, Cycle now)
     opac_assert(_reserved > 0, "pushReserved without reservation on '%s'",
                 _name.c_str());
     notifyMutation();
+    creditOccupancy(now);
     --_reserved;
     ring[(head + count) & mask] = Entry{w, now + latency, encodeWord(w)};
     ++count;
@@ -77,6 +79,7 @@ TimedFifo::pop(Cycle now)
     opac_assert(canPop(now), "pop on empty/not-ready FIFO '%s'",
                 _name.c_str());
     notifyMutation();
+    creditOccupancy(now);
     Word w = ring[head].word;
     if (parityMode != fault::ParityMode::Off)
         w = checkProtected(w, ring[head].ecc, now);
@@ -133,6 +136,7 @@ void
 TimedFifo::reset(Cycle now)
 {
     notifyMutation();
+    creditOccupancy(now);
     std::size_t dropped = count;
     head = 0;
     count = 0;

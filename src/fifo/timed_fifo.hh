@@ -16,6 +16,25 @@
  *    "destination full" as an issue-time hazard,
  *  - reset (the paper's "Reset of FIFO queue reby"),
  *  - occupancy and traffic statistics.
+ *
+ * Occupancy is driven by mutations, not sampled per cycle. A tracking
+ * queue's distribution holds one sample per simulated round: the count
+ * at the end of that round. occFrom is the first round not yet
+ * credited; push, pushReserved, pop and reset at cycle t first credit
+ * the rounds [occFrom, t) at the count they held, then move occFrom
+ * to t. That reproduces the per-round samples exactly because the
+ * only agents that change the count of a cell's local queue all act
+ * before the round-t sample point: the owning cell's own tick, slots
+ * that tick before it in round t (the fault injector, a host reset),
+ * and between-round agents (watchdog recovery, snapshot restore). So
+ * every round in [occFrom, t) ended with the old count, and several
+ * changes in one round credit once (later ones find occFrom == t):
+ * transient in-round counts never reach min or max. Mutations that
+ * keep the count (recirculate, streamExchange, streamRotate) credit
+ * nothing, and neither does a sleeping or bursting owner — its count
+ * is constant by construction. The open interval is closed by the
+ * owner at every run boundary (settleOccupancy), before the
+ * distribution can be read.
  */
 
 #ifndef OPAC_FIFO_TIMED_FIFO_HH
@@ -117,17 +136,22 @@ class TimedFifo
     Word front(Cycle now) const;
 
     /**
-     * Discard all contents and reservations (the RESET control line).
-     * @p now is only used to timestamp the trace event.
+     * Discard all contents and reservations (the RESET control line)
+     * at cycle @p now: closes the occupancy interval and stamps the
+     * trace event.
      */
-    void reset(Cycle now = 0);
+    void reset(Cycle now);
 
-    /** Record @p n identical occupancy samples (typically 1/cycle). */
-    void
-    sampleOccupancy(std::uint64_t n = 1)
-    {
-        occupancy.sample(double(count), n);
-    }
+    /**
+     * Make round @p from the first round not yet credited to the
+     * occupancy distribution: start tracking (or restart it after a
+     * restore), or stop it with cycleNever. Queues are untracked
+     * until their owner calls this.
+     */
+    void trackOccupancy(Cycle from) { occFrom = from; }
+
+    /** Credit every round before @p now (a run boundary). */
+    void settleOccupancy(Cycle now) { creditOccupancy(now); }
 
     // --- superop fast-tier streaming (src/cell/fast_tier.cc) -------
 
@@ -323,6 +347,16 @@ class TimedFifo
     /** Apply armed corrupt/reorder faults to freshly pushed words. */
     void applyPendingFaults(Cycle now);
 
+    /** Credit the rounds [occFrom, now) at the held count. */
+    void
+    creditOccupancy(Cycle now)
+    {
+        if (now > occFrom) {
+            occupancy.sample(double(count), now - occFrom);
+            occFrom = now;
+        }
+    }
+
     /** Wake both endpoints; called at the top of every mutator. */
     void
     notifyMutation()
@@ -348,6 +382,9 @@ class TimedFifo
     std::size_t mask = 0;  //!< ring.size() - 1
     std::size_t head = 0;  //!< index of the front entry
     std::size_t count = 0; //!< entries stored
+    /** First round not yet credited to occupancy; cycleNever while
+     *  the queue is untracked. */
+    Cycle occFrom = cycleNever;
 
     trace::Tracer *tracer = nullptr;
     std::uint16_t traceComp = 0;

@@ -220,35 +220,6 @@ Program::validate() const
 namespace
 {
 
-/** The queue an operand kind pops, or numCellQueues for none. */
-unsigned
-cellQueueOf(Src s)
-{
-    switch (s) {
-      case Src::TpX:
-        return unsigned(CellQueue::TpX);
-      case Src::TpY:
-        return unsigned(CellQueue::TpY);
-      case Src::Sum:
-      case Src::SumR:
-        return unsigned(CellQueue::Sum);
-      case Src::Ret:
-      case Src::RetR:
-        return unsigned(CellQueue::Ret);
-      case Src::Reby:
-      case Src::RebyR:
-        return unsigned(CellQueue::Reby);
-      default:
-        return numCellQueues;
-    }
-}
-
-bool
-isRecircSrc(Src s)
-{
-    return s == Src::SumR || s == Src::RetR || s == Src::RebyR;
-}
-
 DecodedInstr
 decodeCompute(const Instr &in)
 {
@@ -272,7 +243,7 @@ decodeCompute(const Instr &in)
             r.kind = DecodedRead::Kind::Queue;
             r.queue = std::uint8_t(q);
             --need[q];               // the pop frees a slot at issue
-            if (isRecircSrc(op->kind))
+            if (isRecirc(op->kind))
                 ++need[q];           // ... which the repush reclaims
         } else if (op->kind == Src::RegAy) {
             r.kind = DecodedRead::Kind::RegAy;

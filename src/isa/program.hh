@@ -42,6 +42,36 @@ enum class CellQueue : std::uint8_t
 /** Number of CellQueue values. */
 constexpr unsigned numCellQueues = 6;
 
+/** The queue an operand kind pops, or numCellQueues for none. */
+constexpr unsigned
+cellQueueOf(Src s)
+{
+    switch (s) {
+      case Src::TpX:
+        return unsigned(CellQueue::TpX);
+      case Src::TpY:
+        return unsigned(CellQueue::TpY);
+      case Src::Sum:
+      case Src::SumR:
+        return unsigned(CellQueue::Sum);
+      case Src::Ret:
+      case Src::RetR:
+        return unsigned(CellQueue::Ret);
+      case Src::Reby:
+      case Src::RebyR:
+        return unsigned(CellQueue::Reby);
+      default:
+        return numCellQueues;
+    }
+}
+
+/** True for the head-to-tail loop-back read kinds (pop + repush). */
+constexpr bool
+isRecirc(Src s)
+{
+    return s == Src::SumR || s == Src::RetR || s == Src::RebyR;
+}
+
 /** One pre-resolved operand read of the issue-time hazard scan. */
 struct DecodedRead
 {

@@ -76,6 +76,16 @@ Engine::statusDump() const
 Cycle
 Engine::run(Cycle max_cycles)
 {
+    // Every exit, returned or thrown, is a run boundary.
+    struct SettleOnExit
+    {
+        Engine &e;
+        ~SettleOnExit()
+        {
+            for (Component *c : e.components)
+                c->settleAt(e.cycle);
+        }
+    } settleOnExit{*this};
     return _mode == EngineMode::Spin ? runSpin(max_cycles)
                                      : runSkip(max_cycles);
 }

@@ -123,13 +123,13 @@ class Component
      * Replay the per-cycle side effects of @p cycles quiescent tick
      * rounds starting at cycle @p from: everything tick() would have
      * done in each of those rounds given that none of them can make
-     * progress (stall/busy counters, occupancy samples, per-cycle
-     * stall trace events, countdown decrements). The engine
-     * guarantees from + cycles <= this component's nextEventAt hint,
-     * so every replayed round is an exact replica of the quiescent
-     * round that preceded the sleep. When a tracer is attached the
-     * engine calls this once per skipped cycle (cycles == 1) so trace
-     * event order is preserved exactly.
+     * progress (stall/busy counters, per-cycle stall trace events,
+     * countdown decrements). The engine guarantees from + cycles <=
+     * this component's nextEventAt hint, so every replayed round is
+     * an exact replica of the quiescent round that preceded the
+     * sleep. When a tracer is attached the engine calls this once per
+     * skipped cycle (cycles == 1) so trace event order is preserved
+     * exactly.
      */
     virtual void fastForward(Cycle from, Cycle cycles, Engine &engine)
     {
@@ -185,6 +185,15 @@ class Component
         (void)cycles;
         (void)engine;
     }
+
+    /**
+     * Bring lazily credited accounting (FIFO occupancy intervals) up
+     * to cycle @p now, crediting every round before it. The engine
+     * calls this on every slot whenever run() or runUntil() returns
+     * or throws, in both modes, so whatever reads statistics between
+     * runs (stats dumps, snapshots) sees every completed round.
+     */
+    virtual void settleAt(Cycle now) { (void)now; }
 
     /** One-line state description, used in deadlock reports. */
     virtual std::string statusLine() const { return "(no status)"; }
@@ -245,6 +254,10 @@ class Component
 
     const std::string &name() const { return _name; }
 
+  protected:
+    /** The attached engine's clock; 0 before the component is added. */
+    Cycle clock() const;
+
   private:
     friend class Engine;
     std::string _name;
@@ -289,7 +302,9 @@ class Engine
     /**
      * Run until every component reports done(), or max_cycles elapse
      * (0 = unbounded). Returns the number of cycles simulated. Throws on
-     * watchdog expiry with a full component status dump.
+     * watchdog expiry with a full component status dump. Every exit,
+     * returned or thrown, calls Component::settleAt(now()) on every
+     * slot.
      */
     Cycle run(Cycle max_cycles = 0);
 
@@ -501,6 +516,12 @@ class Engine
     stats::Counter statCycles;
     stats::Counter statIdleCycles;
 };
+
+inline Cycle
+Component::clock() const
+{
+    return _engine ? _engine->now() : 0;
+}
 
 inline void
 Component::wakeForMutation()

@@ -103,7 +103,8 @@ class Distribution
      * Record @p v as @p n identical samples in one call. Equivalent to
      * n repeated sample(v) calls whenever v * n is exact in double
      * (always true for the integer-valued occupancy samples this is
-     * used for); used to bulk-credit skipped quiescent cycles.
+     * used for); TimedFifo credits every round a count was held in
+     * one call.
      */
     void sample(double v, std::uint64_t n);
 

@@ -20,6 +20,8 @@
 #include "planner/signal_plan.hh"
 #include "trace/trace.hh"
 
+#include "occupancy_pin.hh"
+
 using namespace opac;
 using namespace opac::planner;
 using copro::CoprocConfig;
@@ -419,6 +421,79 @@ TEST(FastTier, BurstsEngageWhileTheHostStreams)
     RunOut spin = runWorkload(Workload::Conv, 16, EngineMode::Spin,
                               false, Faults::None, true);
     EXPECT_EQ(spin.bursts, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Occupancy pinned to per-round sampling
+// ---------------------------------------------------------------------
+//
+// Every engine mode and tier shares one occupancy rule (the queues
+// credit it at count changes), so the identity suites above would
+// pass a uniformly wrong rule. These pins were recorded from the
+// model that sampled every local queue once per simulated round in
+// every tier: the digest of all cells' sum/ret/reby {min,max,mean,
+// count} objects and their summed sample count.
+
+namespace
+{
+
+struct PinnedOccupancy
+{
+    Workload w;
+    Faults faults;
+    std::uint64_t digest;
+    std::uint64_t samples;
+};
+
+const PinnedOccupancy kOccupancyPins[] = {
+    {Workload::MatUpdate, Faults::None, 0x860d3f41110e8d32ull, 112440},
+    {Workload::MatUpdate, Faults::Corrected, 0x6426b68e994dca75ull, 126468},
+    {Workload::MatUpdate, Faults::Unprotected, 0x64bf4bd5930597dfull, 133356},
+    {Workload::Lu, Faults::None, 0x017761b215970883ull, 65448},
+    {Workload::Lu, Faults::Corrected, 0xc7f4baf93b6f368cull, 67176},
+    {Workload::Lu, Faults::Unprotected, 0x48ef2571ddec96e0ull, 87420},
+    {Workload::Trmm, Faults::None, 0x4c38feee0ae2739dull, 55224},
+    {Workload::Trmm, Faults::Corrected, 0x4c38feee0ae2739dull, 55224},
+    {Workload::Trmm, Faults::Unprotected, 0x081ccc7a94134c58ull, 74760},
+    {Workload::Syrk, Faults::None, 0x67102ddb6a389e4dull, 62040},
+    {Workload::Syrk, Faults::Corrected, 0x67102ddb6a389e4dull, 62040},
+    {Workload::Syrk, Faults::Unprotected, 0xa385fa3ac681984full, 81492},
+    {Workload::Conv, Faults::None, 0xcba80247429e36f6ull, 1396272},
+    {Workload::Conv, Faults::Corrected, 0x7d31980b4c91f066ull, 1412832},
+    {Workload::Conv, Faults::Unprotected, 0xbe9ab1172ba67bd9ull, 1410528},
+};
+
+} // anonymous namespace
+
+TEST(Occupancy, MatchesPerRoundSamplingInEveryMode)
+{
+    // Spin never bursts, so its tier flag is inert; skip runs with the
+    // tier off (sleep/wake replay only) and on (deferred bursts too).
+    struct Mode
+    {
+        EngineMode mode;
+        bool fastTier;
+    };
+    const Mode modes[] = {{EngineMode::Spin, true},
+                          {EngineMode::Skip, false},
+                          {EngineMode::Skip, true}};
+    for (const PinnedOccupancy &pin : kOccupancyPins) {
+        const unsigned p = cellsFor(pin.w);
+        for (const Mode &m : modes) {
+            RunOut out = runWorkload(pin.w, p, m.mode, false, pin.faults,
+                                     m.fastTier);
+            const test::OccupancyPin got =
+                test::localOccupancy(out.statsJson, p);
+            EXPECT_TRUE(got.digest == pin.digest
+                        && got.samples == pin.samples)
+                << workloadName(pin.w) << " faults=" << int(pin.faults)
+                << " mode=" << sim::engineModeName(m.mode)
+                << " tier=" << (m.fastTier ? "on" : "off") << ": got 0x"
+                << std::hex << got.digest << std::dec << ", "
+                << got.samples << " samples\n"
+                << got.objects;
+        }
+    }
 }
 
 TEST(EngineModes, ParseAndNameRoundTrip)

@@ -23,6 +23,8 @@
 #include "planner/linalg_plan.hh"
 #include "planner/signal_plan.hh"
 
+#include "occupancy_pin.hh"
+
 using namespace opac;
 using namespace opac::planner;
 using blasref::Matrix;
@@ -494,49 +496,64 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Recovery, DeadCellDegradesOntoSurvivors)
 {
-    CoprocConfig cfg = makeConfig(4);
     // Cell 1 hangs permanently mid-run: reset cannot revive it, the
     // retry budget runs out, and the work must finish on cells 0/2/3.
-    protect(cfg, "at=2500/hang/1/0", fault::ParityMode::Correct,
-            /*timeout=*/3000, /*budget=*/2);
-    Coprocessor sys(cfg);
-    kernels::installStandardKernels(sys);
-    Rng rng(7);
-    const unsigned njobs = 3;
-    std::vector<Matrix> want(njobs);
-    std::vector<MatRef> cr(njobs);
-    JobRunner jobs(sys);
-    for (unsigned j = 0; j < njobs; ++j) {
-        Matrix c(20, 20), a(20, 12), b(12, 20);
-        c.randomize(rng);
-        a.randomize(rng);
-        b.randomize(rng);
-        want[j] = c;
-        blasref::gemm(want[j], a, b);
-        cr[j] = allocMat(sys.memory(), 20, 20);
-        MatRef ar = allocMat(sys.memory(), 20, 12);
-        MatRef br = allocMat(sys.memory(), 12, 20);
-        storeMat(sys.memory(), cr[j], c);
-        storeMat(sys.memory(), ar, a);
-        storeMat(sys.memory(), br, b);
-        jobs.add(strfmt("gemm%u", j),
-                 [&sys, c = cr[j], ar, br](std::uint32_t alive) {
-                     LinalgPlanner plan(sys, alive);
-                     plan.matUpdate(c, ar, br);
-                     return plan.takeOps();
-                 });
+    // The dead cell's local-queue occupancy stops at its death; the
+    // pin was recorded from the per-round sampling model, in which a
+    // dead cell's tick samples nothing.
+    for (sim::EngineMode mode :
+         {sim::EngineMode::Spin, sim::EngineMode::Skip}) {
+        CoprocConfig cfg = makeConfig(4);
+        cfg.engineMode = mode;
+        protect(cfg, "at=2500/hang/1/0", fault::ParityMode::Correct,
+                /*timeout=*/3000, /*budget=*/2);
+        Coprocessor sys(cfg);
+        kernels::installStandardKernels(sys);
+        Rng rng(7);
+        const unsigned njobs = 3;
+        std::vector<Matrix> want(njobs);
+        std::vector<MatRef> cr(njobs);
+        JobRunner jobs(sys);
+        for (unsigned j = 0; j < njobs; ++j) {
+            Matrix c(20, 20), a(20, 12), b(12, 20);
+            c.randomize(rng);
+            a.randomize(rng);
+            b.randomize(rng);
+            want[j] = c;
+            blasref::gemm(want[j], a, b);
+            cr[j] = allocMat(sys.memory(), 20, 20);
+            MatRef ar = allocMat(sys.memory(), 20, 12);
+            MatRef br = allocMat(sys.memory(), 12, 20);
+            storeMat(sys.memory(), cr[j], c);
+            storeMat(sys.memory(), ar, a);
+            storeMat(sys.memory(), br, b);
+            jobs.add(strfmt("gemm%u", j),
+                     [&sys, c = cr[j], ar, br](std::uint32_t alive) {
+                         LinalgPlanner plan(sys, alive);
+                         plan.matUpdate(c, ar, br);
+                         return plan.takeOps();
+                     });
+        }
+        jobs.dispatch();
+        sys.run();
+        const char *m = sim::engineModeName(mode);
+        EXPECT_EQ(sys.host().deadCells(), 1u) << m;
+        EXPECT_EQ(sys.host().aliveMask(), 0b1101u) << m;
+        EXPECT_TRUE(sys.cell(1).dead()) << m;
+        EXPECT_EQ(sys.host().completedJobs().size(), njobs) << m;
+        EXPECT_GE(jobs.replans(), 1u) << m;
+        for (unsigned j = 0; j < njobs; ++j)
+            EXPECT_LT(loadMat(sys.memory(), cr[j]).maxAbsDiff(want[j]),
+                      1e-3f)
+                << m << " job " << j;
+        const test::OccupancyPin occ =
+            test::localOccupancy(sys.statsJson(), 4);
+        EXPECT_TRUE(occ.digest == 0x3f6d6d98c8caf59full
+                    && occ.samples == 304563)
+            << m << ": got 0x" << std::hex << occ.digest << std::dec
+            << ", " << occ.samples << " samples\n"
+            << occ.objects;
     }
-    jobs.dispatch();
-    sys.run();
-    EXPECT_EQ(sys.host().deadCells(), 1u);
-    EXPECT_EQ(sys.host().aliveMask(), 0b1101u);
-    EXPECT_TRUE(sys.cell(1).dead());
-    EXPECT_EQ(sys.host().completedJobs().size(), njobs);
-    EXPECT_GE(jobs.replans(), 1u);
-    for (unsigned j = 0; j < njobs; ++j)
-        EXPECT_LT(loadMat(sys.memory(), cr[j]).maxAbsDiff(want[j]),
-                  1e-3f)
-            << "job " << j;
 }
 
 TEST(Recovery, AllCellsDeadThrowsRecoveryError)

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <string>
 
 #include "common/random.hh"
 #include "fifo/timed_fifo.hh"
 
+#include "occupancy_pin.hh"
+
 using namespace opac;
+using opac::test::jsonObject;
 
 TEST(TimedFifo, ZeroCapacityPanics)
 {
@@ -101,7 +105,7 @@ TEST(TimedFifo, ResetClearsContentAndReservations)
     TimedFifo f("f", 4);
     f.push(1, 0);
     f.reserve();
-    f.reset();
+    f.reset(5);
     EXPECT_TRUE(f.empty());
     EXPECT_EQ(f.reservedSlots(), 0u);
     EXPECT_EQ(f.space(), 4u);
@@ -115,10 +119,106 @@ TEST(TimedFifo, StatsCountTraffic)
     f.push(1, 0);
     f.push(2, 0);
     f.pop(3);
-    f.reset();
+    f.reset(5);
     EXPECT_EQ(g.counterValue("q.pushes"), 2u);
     EXPECT_EQ(g.counterValue("q.pops"), 1u);
     EXPECT_EQ(g.counterValue("q.resets"), 1u);
+}
+
+TEST(TimedFifoOccupancy, UntrackedQueueRecordsNothing)
+{
+    stats::StatGroup g("top");
+    TimedFifo f("q", 4);
+    f.addStats(g);
+    f.push(1, 3);
+    f.pop(7);
+    f.settleOccupancy(10);
+    EXPECT_EQ(jsonObject(g.json(), "top.q.occupancy"),
+              "\"top.q.occupancy\": {\"min\": 0, \"max\": 0, "
+              "\"mean\": 0, \"count\": 0}");
+}
+
+/**
+ * Property: crediting occupancy at count changes reproduces a
+ * per-round reference that samples the count at the end of every
+ * round — through same-round push + pop pairs (whose transient count
+ * must reach neither min nor max), resets mid-run, settles at
+ * arbitrary round boundaries, and a stop after which nothing is
+ * credited.
+ */
+TEST(TimedFifoOccupancy, LazyCreditMatchesPerRoundSamples)
+{
+    Rng rng(0x0cc);
+    // Same root name, so the two dumps name the object alike.
+    stats::StatGroup g("top"), gr("top");
+    TimedFifo f("q", 6, 1);
+    f.addStats(g);
+    stats::Distribution ref;
+    gr.addDistribution("q.occupancy", &ref, "per-round reference");
+    auto expectSame = [&](Cycle t) {
+        const std::string want = jsonObject(gr.json(), "top.q.occupancy");
+        ASSERT_FALSE(want.empty());
+        ASSERT_EQ(jsonObject(g.json(), "top.q.occupancy"), want)
+            << "settled at " << t;
+    };
+    const Cycle stop = 3000, end = 4000;
+    unsigned same_round = 0, resets = 0, settles = 0;
+    f.trackOccupancy(0);
+    for (Cycle t = 0; t < end; ++t) {
+        if (t == stop) {
+            f.settleOccupancy(t);
+            f.trackOccupancy(cycleNever);
+        }
+        bool pushed = false, popped = false;
+        for (int ops = int(rng.range(0, 3)); ops-- > 0;) {
+            switch (rng.range(0, 9)) {
+              case 0:
+                if (rng.range(0, 3) == 0) {
+                    f.reset(t);
+                    ++resets;
+                }
+                break;
+              case 1:
+              case 2:
+                if (f.canPush()) {
+                    f.reserve();
+                    f.pushReserved(Word(t), t);
+                    pushed = true;
+                }
+                break;
+              case 3:
+              case 4:
+              case 5:
+                if (f.canPush()) {
+                    f.push(Word(t), t);
+                    pushed = true;
+                }
+                break;
+              default:
+                if (f.canPop(t)) {
+                    f.pop(t);
+                    popped = true;
+                }
+                break;
+            }
+        }
+        same_round += pushed && popped;
+        if (t < stop)
+            ref.sample(double(f.size()));
+        // A run boundary after round t credits every round up to it.
+        if (rng.range(0, 49) == 0) {
+            f.settleOccupancy(t + 1);
+            ++settles;
+            expectSame(t);
+        }
+    }
+    f.settleOccupancy(end);
+    expectSame(end);
+    EXPECT_EQ(ref.count(), stop);
+    // The random walk must actually cover the interesting cases.
+    EXPECT_GT(same_round, 100u);
+    EXPECT_GT(resets, 10u);
+    EXPECT_GT(settles, 20u);
 }
 
 /**
@@ -298,8 +398,9 @@ TEST(TimedFifoStreamProperty, BurstsMatchPerCallReference)
                 fr.push(next, t);
                 ++next;
             }
-            if (rng.range(0, 2) == 0 && fs.canPop(t))
+            if (rng.range(0, 2) == 0 && fs.canPop(t)) {
                 EXPECT_EQ(fs.pop(t), fr.pop(t));
+            }
         }
         ++t; // let the newest push fall through
         if (!fs.streamable(t))

@@ -399,6 +399,34 @@ TEST(SnapshotResume, RestoredSystemFinishesByteIdentical)
     }
 }
 
+TEST(SnapshotResume, RestoreRewindsAMachinePastTheSnapshot)
+{
+    // Restore into a machine whose clock already ran past the
+    // snapshot cycle (here: to completion). Everything it did after
+    // the snapshot must vanish — occupancy included, which has to be
+    // credited again from the restored clock rather than from where
+    // the used machine left off.
+    for (EngineMode mode : kAllModes) {
+        CoprocConfig cfg = baseConfig(mode, true, false);
+        RunOut ref = runStraight(cfg, Load::MatUpdate);
+        const Cycle stop = ref.endCycle / 2;
+
+        auto a = buildPlanned(cfg, Load::MatUpdate);
+        a->runUntil(stop);
+        snap::Snapshot snap = a->takeSnapshot();
+        a->run();
+        ASSERT_GT(a->engine().now(), stop);
+        a->restoreSnapshot(snap);
+        EXPECT_EQ(a->engine().now(), stop);
+        a->run();
+        RunOut got = finishOut(*a);
+        const char *what = sim::engineModeName(mode);
+        EXPECT_EQ(ref.endCycle, got.endCycle) << what;
+        EXPECT_EQ(ref.statsJson, got.statsJson) << what;
+        EXPECT_EQ(ref.memSum, got.memSum) << what;
+    }
+}
+
 TEST(SnapshotResume, SurvivesFileRoundTripUnderFaults)
 {
     // Active fault injection (flips being corrected, hangs being
