@@ -23,7 +23,9 @@ run_config() {
     ctest --test-dir "$dir" --output-on-failure -j "$jobs"
 }
 
-run_config plain -DCMAKE_BUILD_TYPE=RelWithDebInfo
+# The main leg builds with -Werror: the tree is warning-free, and a new
+# warning fails CI instead of scrolling past.
+run_config plain -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS=-Werror
 # Release keeps assertions: the machine-model invariants they check are
 # exactly what an optimized build could silently break.
 run_config release -DCMAKE_BUILD_TYPE=Release \

@@ -4,7 +4,6 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "isa/disasm.hh"
 #include "isa/encode.hh"
 #include "sim/replay.hh"
 #include "snap/snapshot.hh"
@@ -70,8 +69,6 @@ Cell::Cell(std::string name, const CellConfig &cfg,
                        "loop iterations completed inside bursts");
     ftGroup.addCounter("turboCycles", &statFtTurboCycles,
                        "burst cycles run by the specialized executor");
-    ftGroup.addCounter("fallbackObserver", &statFtFallbackObserver,
-                       "burst refused: per-cycle observer attached");
     ftGroup.addCounter("fallbackBody", &statFtFallbackBody,
                        "burst refused: body has no turbo plan");
     _tpx.addStats(statGroup);
@@ -89,7 +86,7 @@ Cell::Cell(std::string name, const CellConfig &cfg,
     for (TimedFifo *q : {&_tpx, &_tpy, &_tpi, &_sum, &_ret, &_reby}) {
         q->setParity(cfg.parity);
         q->setProtectionHandler(
-            [this, q](Cycle now) { enterFaulted(q->name().c_str(), now); });
+            [this, q](Cycle) { enterFaulted(q->name().c_str()); });
     }
     _tpo.setParity(cfg.parity);
 
@@ -153,12 +150,6 @@ Cell::pmuRead(PmuReg reg) const
     opac_warn_once("%s: PMU read of unknown register %u reads as zero",
                    name().c_str(), unsigned(reg));
     return 0;
-}
-
-void
-Cell::setTraceHook(std::function<void(const std::string &)> hook)
-{
-    traceHook = std::move(hook);
 }
 
 void
@@ -563,7 +554,7 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
                 opac_warn_once("%s: call to unknown microcode entry %u"
                                " (cell faulted)",
                                name().c_str(), entry);
-                enterFaulted("unknown call entry", now);
+                enterFaulted("unknown call entry");
                 engine.noteProgress(); // the pop was progress
                 break;
             }
@@ -575,11 +566,6 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
             decodeLeft = cfg.callDecodeCycles;
             ++statCalls;
             ++statBusy;
-            if (traceHook) {
-                traceHook(strfmt("%llu call %s",
-                                 (unsigned long long)now,
-                                 current->prog.name().c_str()));
-            }
             if (tracer) {
                 callTrack = tracer->internTrack(traceComp,
                                                 current->prog.name());
@@ -645,11 +631,6 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
                 checkHazards(current->prog.decodedAt(pc), now);
             if (stall == StallCause::None) {
                 issueCompute(in, current->prog.decodedAt(pc), now);
-                if (traceHook) {
-                    traceHook(strfmt("%llu [%zu] %s",
-                                     (unsigned long long)now, pc,
-                                     isa::disasm(in).c_str()));
-                }
                 ++pc;
                 engine.noteProgress();
             } else {
@@ -732,10 +713,6 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
             break;
           }
           case Opcode::Halt:
-            if (traceHook) {
-                traceHook(strfmt("%llu halt",
-                                 (unsigned long long)now));
-            }
             if (tracer) {
                 tracer->emit(now, trace::EventKind::CallEnd, 0,
                              traceComp, callTrack, 0, 0);
@@ -812,6 +789,8 @@ void
 Cell::fastForward(Cycle from, Cycle cycles, sim::Engine &engine)
 {
     (void)engine;
+    opac_assert(!tracer, "%s: fastForward under a tracer",
+                name().c_str());
     if (cycles == 0)
         return;
     if (_dead)
@@ -862,26 +841,20 @@ Cell::fastForward(Cycle from, Cycle cycles, sim::Engine &engine)
                         inflight.size(), _tpi.size());
             stall = StallCause::DstFull;
         }
-        trace::StallWhy why = trace::StallWhy::SrcEmpty;
         switch (stall) {
           case StallCause::None:
             opac_panic("%s: quiescent Run state with no hazard",
                        name().c_str());
           case StallCause::SrcEmpty:
             statStallSrc += cycles;
-            why = trace::StallWhy::SrcEmpty;
             break;
           case StallCause::DstFull:
             statStallDst += cycles;
-            why = trace::StallWhy::DstFull;
             break;
           case StallCause::RegPending:
             statStallReg += cycles;
-            why = trace::StallWhy::RegPending;
             break;
         }
-        sim::replayStalls(tracer, from, cycles, why, traceComp,
-                          std::uint32_t(pc));
         break;
       }
     }
@@ -936,8 +909,6 @@ Cell::hardReset(Cycle now)
         faultWhy = "hard fault";
     }
     ++statHardResets;
-    if (traceHook)
-        traceHook(strfmt("%llu hard-reset", (unsigned long long)now));
 }
 
 void
@@ -962,7 +933,7 @@ Cell::injectHang(Cycle now, Cycle duration)
         return;
     if (duration == 0) {
         _broken = true;
-        enterFaulted("injected permanent hang", now);
+        enterFaulted("injected permanent hang");
         return;
     }
     hangUntil = std::max(hangUntil, now + duration);
@@ -981,8 +952,6 @@ Cell::injectSpuriousHalt(Cycle now)
     if (tracer && state == SeqState::Run)
         tracer->emit(now, trace::EventKind::CallEnd, 0, traceComp,
                      callTrack, 0, 0);
-    if (traceHook)
-        traceHook(strfmt("%llu spurious-halt", (unsigned long long)now));
     state = SeqState::Idle;
     current = nullptr;
     paramsToRead = 0;
@@ -991,7 +960,7 @@ Cell::injectSpuriousHalt(Cycle now)
 }
 
 void
-Cell::enterFaulted(const char *why, Cycle now)
+Cell::enterFaulted(const char *why)
 {
     wakeForMutation();
     if (_dead || _faulted)
@@ -999,9 +968,6 @@ Cell::enterFaulted(const char *why, Cycle now)
     _faulted = true;
     faultWhy = why;
     ++statFaults;
-    if (traceHook)
-        traceHook(strfmt("%llu faulted (%s)", (unsigned long long)now,
-                         why));
 }
 
 void

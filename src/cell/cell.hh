@@ -34,7 +34,6 @@
 #define OPAC_CELL_CELL_HH
 
 #include <array>
-#include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -232,14 +231,6 @@ class Cell : public sim::Component
     stats::StatGroup &stats() { return statGroup; }
 
     /**
-     * Install a cycle-trace hook: one line per sequencer event (call
-     * dispatch, instruction issue, halt), formatted
-     * "<cycle> <event>". Pass nullptr to disable. Tracing is off by
-     * default and costs nothing when disabled.
-     */
-    void setTraceHook(std::function<void(const std::string &)> hook);
-
-    /**
      * Start emitting structured trace events (issue/retire/stall,
      * call begin/end, and FIFO traffic of all seven queues) into
      * @p t. Costs one null-pointer test per event site when detached.
@@ -286,7 +277,7 @@ class Cell : public sim::Component
      * hangs; without recovery the engine watchdog turns it into a
      * DeadlockError.
      */
-    void enterFaulted(const char *why, Cycle now);
+    void enterFaulted(const char *why);
 
     bool faulted() const { return _faulted; }
     bool dead() const { return _dead; }
@@ -433,8 +424,6 @@ class Cell : public sim::Component
      */
     Cycle wbReadyAt = sim::Component::noEvent;
 
-    std::function<void(const std::string &)> traceHook;
-
     trace::Tracer *tracer = nullptr;
     std::uint16_t traceComp = 0;
     std::uint16_t callTrack = 0; //!< track of the running kernel's name
@@ -466,7 +455,6 @@ class Cell : public sim::Component
     stats::Counter statFtBurstCycles;
     stats::Counter statFtBurstIters;
     stats::Counter statFtTurboCycles;
-    stats::Counter statFtFallbackObserver;
     stats::Counter statFtFallbackBody;
 };
 

@@ -160,11 +160,6 @@ Cell::burstQuantum(Cycle from)
     if (_dead || _faulted || from < hangUntil
         || state != SeqState::Run || loopStack.empty())
         return 0;
-    if (tracer || traceHook) {
-        // Observers need the per-cycle event edges of the interpreter.
-        ++statFtFallbackObserver;
-        return 0;
-    }
     const LoopFrame &f = loopStack.back();
     const FastBody *b = fastBodyFor(f.bodyPc);
     if (!b->turbo) {

@@ -279,7 +279,7 @@ Host::pushFaulty(TimedFifo &q, unsigned c, Word w, Cycle now)
         // without it the loss is silent and only a timeout (or a
         // desynchronized kernel) gives it away.
         if (protection)
-            cells[c]->enterFaulted("bus drop", now);
+            cells[c]->enterFaulted("bus drop");
         return;
     }
     q.push(w, now);
@@ -289,7 +289,7 @@ Host::pushFaulty(TimedFifo &q, unsigned c, Word w, Cycle now)
         if (q.canPush())
             q.push(w, now);
         if (protection)
-            cells[c]->enterFaulted("bus duplicate", now);
+            cells[c]->enterFaulted("bus duplicate");
     }
 }
 
@@ -745,9 +745,10 @@ Host::nextEventAt(Cycle now) const
 }
 
 void
-Host::fastForward(Cycle from, Cycle cycles, sim::Engine &engine)
+Host::fastForward(Cycle, Cycle cycles, sim::Engine &engine)
 {
     (void)engine;
+    opac_assert(!tracer, "host: fastForward under a tracer");
     if (program.empty() || cycles == 0)
         return;
     statBusy += cycles;
@@ -761,14 +762,9 @@ Host::fastForward(Cycle from, Cycle cycles, sim::Engine &engine)
       case HostOp::Kind::Send:
       case HostOp::Kind::Call:
         statStallFull += cycles;
-        sim::replayStalls(tracer, from, cycles, trace::StallWhy::BusFull,
-                          traceComp, std::uint32_t(pos));
         break;
       case HostOp::Kind::Recv:
         statStallEmpty += cycles;
-        sim::replayStalls(tracer, from, cycles,
-                          trace::StallWhy::BusEmpty, traceComp,
-                          std::uint32_t(pos));
         break;
       case HostOp::Kind::Compute:
         // The skip window never reaches the finishing cycle.

@@ -86,8 +86,10 @@ Engine::run(Cycle max_cycles)
                 c->settleAt(e.cycle);
         }
     } settleOnExit{*this};
-    return _mode == EngineMode::Spin ? runSpin(max_cycles)
-                                     : runSkip(max_cycles);
+    // A cycle trace records every round of the lock-step machine, so
+    // a traced run ticks every cycle whatever the mode.
+    return _mode == EngineMode::Spin || _tracer ? runSpin(max_cycles)
+                                                : runSkip(max_cycles);
 }
 
 Cycle

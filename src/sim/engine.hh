@@ -30,7 +30,7 @@
  *          hint was computed against). When every component is asleep
  *          the clock jumps straight to the earliest wake-up.
  *
- * Superop bursts (fast tier on, no tracer) are the busy-side mirror of
+ * Superop bursts (fast tier on, Skip mode) are the busy-side mirror of
  * sleep, scheduled the same way. After a round in which a component
  * progressed, the engine asks it for a burstQuantum: a count of
  * upcoming rounds it is guaranteed to progress in while touching
@@ -43,10 +43,10 @@
  * deferred burster covers count as progress, so idle-cycle and
  * watchdog accounting stay exactly those of the spin run.
  *
- * In Skip mode trace events are staged per component slot and merged
- * back into exact (cycle, slot) serial order before reaching the sinks
- * (trace::Tracer ordered mode), so trace output stays byte-identical
- * to a Spin run.
+ * A run with a tracer attached takes the Spin loop whatever the mode:
+ * a cycle trace is a per-cycle record of the machine, so its natural
+ * producer is the loop that ticks every component every cycle, and
+ * events reach the sinks in serial order as they are emitted.
  */
 
 #ifndef OPAC_SIM_ENGINE_HH
@@ -123,13 +123,11 @@ class Component
      * Replay the per-cycle side effects of @p cycles quiescent tick
      * rounds starting at cycle @p from: everything tick() would have
      * done in each of those rounds given that none of them can make
-     * progress (stall/busy counters, per-cycle stall trace events,
-     * countdown decrements). The engine guarantees from + cycles <=
+     * progress (stall/busy counters, countdown decrements). The engine guarantees from + cycles <=
      * this component's nextEventAt hint, so every replayed round is
      * an exact replica of the quiescent round that preceded the
-     * sleep. When a tracer is attached the engine calls this once per
-     * skipped cycle (cycles == 1) so trace event order is preserved
-     * exactly.
+     * sleep. Never called with a tracer attached (traced runs tick
+     * every cycle), so replayed rounds emit no trace events.
      */
     virtual void fastForward(Cycle from, Cycle cycles, Engine &engine)
     {
@@ -161,8 +159,8 @@ class Component
      * The engine then stops ticking the component and replays its
      * rounds lazily — at the end of the window, before another agent
      * mutates it (wakeForMutation), before an observer ticks, and at
-     * a run stop or abort. Only consulted when the engine's fast tier
-     * is on and no tracer is attached.
+     * a run stop or abort. Only consulted by the Skip loop with the
+     * engine's fast tier on, so never while a tracer is attached.
      */
     virtual Cycle burstQuantum(Cycle from)
     {
@@ -346,7 +344,8 @@ class Engine
 
     /**
      * Attach the trace recorder consulted by error reports. The engine
-     * emits no events itself; pass nullptr to detach.
+     * emits no events itself, but while one is attached run() takes
+     * the Spin loop whatever the mode; pass nullptr to detach.
      */
     void setTracer(trace::Tracer *t) { _tracer = t; }
     trace::Tracer *tracer() const { return _tracer; }
@@ -382,8 +381,8 @@ class Engine
      * run loop defers the rounds of a burstCapable() component that
      * grants a burstQuantum() and executes them in bulk later, while
      * the rest of the machine keeps ticking. Spin mode never bursts —
-     * it stays the pure per-cycle reference — and a run with a tracer
-     * attached never bursts either, so every output stays
+     * it stays the pure per-cycle reference — and a traced run spins,
+     * so it never bursts either; every output stays
      * byte-identical with the tier on or off.
      */
     void setFastTier(bool on) { fastTier_ = on; }
@@ -429,8 +428,8 @@ class Engine
      */
     void watchdogExpired();
     /**
-     * Bring sleeping components' counters and the staged trace up to
-     * date, so an abort report reads exactly like the spin run.
+     * Bring sleeping components' counters up to date, so an abort
+     * report reads exactly like the spin run.
      */
     void settle();
 
@@ -502,7 +501,7 @@ class Engine
      */
     bool burstWakeProgress_ = false;
     bool skipActive_ = false;
-    /** Slot being ticked (wake horizons, trace emit slot). */
+    /** Slot being ticked (wake horizons). */
     unsigned currentSlot_ = 0;
     Cycle lastProgress = 0;
     std::uint64_t _fastForwards = 0;

@@ -2,13 +2,12 @@
  * @file
  * Shared pieces of the nextEventAt / fastForward protocol.
  *
- * Every component that supports idle-cycle skipping answers the same
- * two questions — "when could I act next?" (a minimum over queue
- * fronts, countdowns and pipeline landings) and "what would my
- * quiescent rounds have looked like?" (per-cycle stall events while
- * traced). The accumulator, the FIFO front-ready wake rule and the
- * stall replay loop used to be copy-pasted across timed_fifo, cell
- * and host; they live here once.
+ * Every component that supports idle-cycle skipping answers "when
+ * could I act next?" with a minimum over queue fronts, countdowns and
+ * pipeline landings. The accumulator and the FIFO front-ready wake
+ * rule shared by timed_fifo, cell and host live here once. Replay
+ * itself (fastForward) only credits counters: traced runs tick every
+ * cycle, so no replayed round emits a trace event.
  */
 
 #ifndef OPAC_SIM_REPLAY_HH
@@ -16,7 +15,6 @@
 
 #include "common/types.hh"
 #include "sim/engine.hh"
-#include "trace/trace.hh"
 
 namespace opac::sim
 {
@@ -61,24 +59,6 @@ inline Cycle
 frontReadyHint(Cycle ready, Cycle now)
 {
     return ready < now ? Component::noEvent : ready;
-}
-
-/**
- * Emit the per-cycle Stall trace events a quiescent component would
- * have produced in rounds [from, from + cycles), one per round — the
- * traced half of every fastForward implementation. No-op without a
- * tracer.
- */
-inline void
-replayStalls(trace::Tracer *t, Cycle from, Cycle cycles,
-             trace::StallWhy why, std::uint16_t comp, std::uint32_t a)
-{
-    if (!t)
-        return;
-    for (Cycle k = 0; k < cycles; ++k) {
-        t->emit(from + k, trace::EventKind::Stall, std::uint8_t(why),
-                comp, 0, a, 0);
-    }
 }
 
 } // namespace opac::sim

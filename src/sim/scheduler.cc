@@ -31,7 +31,6 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "sim/engine.hh"
-#include "trace/trace.hh"
 
 namespace opac::sim
 {
@@ -45,17 +44,8 @@ Engine::replaySlot(unsigned slot, Cycle upTo)
     Component *c = components[slot];
     Cycle count = upTo - ss.sleptFrom;
     if (ss.burst) {
-        // Never traced: bursts are off while a tracer is attached.
         c->burstRun(ss.sleptFrom, count, *this);
         _burstCycles += count;
-    } else if (_tracer) {
-        // Cycle-major within the component; the ordered merge
-        // restores cycle-major order across components.
-        trace::Tracer::setEmitSlot(slot);
-        for (Cycle k = 0; k < count; ++k)
-            c->fastForward(ss.sleptFrom + k, 1, *this);
-        trace::Tracer::setEmitSlot(currentSlot_);
-        ++_fastForwards;
     } else {
         c->fastForward(ss.sleptFrom, count, *this);
         ++_fastForwards;
@@ -110,8 +100,6 @@ Engine::settle()
     if (!skipActive_)
         return;
     catchUpAll(cycle);
-    if (_tracer)
-        _tracer->flushOrdered(Component::noEvent);
 }
 
 Cycle
@@ -125,33 +113,21 @@ Engine::runSkip(Cycle max_cycles)
     awake_ = n;
     deferred_ = 0;
     burstWakeProgress_ = false;
-    const bool ordered = _tracer != nullptr;
-    // Superop bursts: a burst-capable component that progressed may
-    // defer a window of busy rounds (see engine.hh). Never while
-    // traced — the ordered merge needs every round's events live.
-    const bool burst = fastTier_ && !ordered;
     // Polled once: only observers return a finite cycle, and they do
-    // from every call.
+    // from every call. Burst-capable components that progressed may
+    // defer a window of busy rounds (see engine.hh).
     for (unsigned s = 0; s < n; ++s) {
         sleep_[s].observer =
             components[s]->observesSystemAt(cycle) != Component::noEvent;
-        sleep_[s].burster = burst && components[s]->burstCapable();
+        sleep_[s].burster = fastTier_ && components[s]->burstCapable();
     }
     currentSlot_ = 0;
-    if (ordered)
-        _tracer->beginOrdered(n);
     skipActive_ = true;
     struct Guard
     {
         Engine &e;
-        bool ordered;
-        ~Guard()
-        {
-            e.skipActive_ = false;
-            if (ordered && e._tracer)
-                e._tracer->endOrdered();
-        }
-    } guard{*this, ordered};
+        ~Guard() { e.skipActive_ = false; }
+    } guard{*this};
 
     while (!allDone() && cycle < stopAt_) {
         checkMaxCycles(start, max_cycles);
@@ -170,8 +146,6 @@ Engine::runSkip(Cycle max_cycles)
             Component *c = components[s];
             if (ss.observer && c->observesSystemAt(cycle) == cycle)
                 catchUpAll(cycle);
-            if (ordered)
-                trace::Tracer::setEmitSlot(s);
             progressed = false;
             c->tick(*this);
             if (progressed) {
@@ -224,16 +198,6 @@ Engine::runSkip(Cycle max_cycles)
                 watchdogExpired();
         }
         burstWakeProgress_ = false;
-        if (ordered) {
-            // Events below every sleeper's replay resumption point and
-            // the current cycle are final; release them in order.
-            Cycle watermark = cycle;
-            for (const SleepState &ss : sleep_) {
-                if (ss.asleep && ss.sleptFrom < watermark)
-                    watermark = ss.sleptFrom;
-            }
-            _tracer->flushOrdered(watermark);
-        }
         if (awake_ != 0)
             continue;
         // Every component is asleep or deferred: all rounds up to the

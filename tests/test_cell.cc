@@ -11,6 +11,7 @@
 #include "cell_harness.hh"
 #include "common/random.hh"
 #include "isa/builder.hh"
+#include "trace/trace.hh"
 
 using namespace opac;
 using namespace opac::isa;
@@ -543,40 +544,64 @@ TEST(CellSequencer, LoopCountReReadOnEveryEntry)
     EXPECT_EQ(h.output().size(), 6u);
 }
 
-TEST(CellTrace, HookSeesCallIssueAndHalt)
+TEST(CellTrace, TracerSeesCallIssueAndHalt)
 {
     ProgramBuilder b("traced");
     b.loopParam(0, [&] { b.mov(Src::TpX, DstTpO); });
     CellHarness h;
     h.cell.loadMicrocode(9, b.finish(), 1);
-    std::vector<std::string> lines;
-    h.cell.setTraceHook([&](const std::string &s) {
-        lines.push_back(s);
-    });
+    trace::Tracer tracer;
+    trace::VectorSink sink;
+    tracer.addSink(&sink);
+    h.cell.attachTracer(&tracer);
+    h.engine.setTracer(&tracer);
     h.call(9, {2});
     h.feedX({1, 2});
     h.sinkO(2);
     h.run();
-    ASSERT_GE(lines.size(), 4u); // call + 2 issues + halt
-    EXPECT_NE(lines.front().find("call traced"), std::string::npos);
-    EXPECT_NE(lines[1].find("mov tpx -> tpo"), std::string::npos);
-    EXPECT_NE(lines.back().find("halt"), std::string::npos);
+
+    // The sequencer's own events, FIFO traffic and retires aside.
+    std::vector<trace::Event> seq;
+    for (const trace::Event &e : sink.events) {
+        if (e.kind == trace::EventKind::CallBegin
+            || e.kind == trace::EventKind::Issue
+            || e.kind == trace::EventKind::CallEnd)
+            seq.push_back(e);
+    }
+    ASSERT_EQ(seq.size(), 4u); // call + 2 issues + halt
+    EXPECT_EQ(seq[0].kind, trace::EventKind::CallBegin);
+    EXPECT_EQ(tracer.trackName(seq[0].track), "traced");
+    for (int k : {1, 2}) {
+        EXPECT_EQ(seq[k].kind, trace::EventKind::Issue);
+        EXPECT_EQ(seq[k].arg, std::uint8_t(trace::OpClass::Move));
+    }
+    EXPECT_LT(seq[1].cycle, seq[2].cycle);
+    EXPECT_EQ(seq[3].kind, trace::EventKind::CallEnd);
+    EXPECT_EQ(seq[3].track, seq[0].track);
+    EXPECT_EQ(tracer.componentName(seq[3].comp), "cell0");
 }
 
-TEST(CellTrace, DisabledHookCostsNothingAndChangesNothing)
+TEST(CellTrace, TracerChangesNoCyclesOrResults)
 {
     auto run_once = [&](bool traced) {
         ProgramBuilder b("t");
         b.loopParam(0, [&] { b.mov(Src::TpX, DstTpO); });
         CellHarness h;
         h.cell.loadMicrocode(9, b.finish(), 1);
-        if (traced)
-            h.cell.setTraceHook([](const std::string &) {});
+        trace::Tracer tracer;
+        trace::VectorSink sink;
+        tracer.addSink(&sink);
+        if (traced) {
+            h.cell.attachTracer(&tracer);
+            h.engine.setTracer(&tracer);
+        }
         h.call(9, {8});
         std::vector<float> in(8, 1.0f);
         h.feedX(in);
         h.sinkO(8);
-        return h.run();
+        Cycle cycles = h.run();
+        EXPECT_EQ(sink.events.empty(), !traced);
+        return std::make_pair(cycles, h.output());
     };
     EXPECT_EQ(run_once(false), run_once(true));
 }

@@ -98,6 +98,13 @@ enum class Faults
      */
     Corrected,
     /**
+     * Corrected's kinds and parity packed into the first 4000 cycles,
+     * so that faults land inside the shortest runs here too (trmm and
+     * syrk finish in about 5000 cycles, before most of Corrected's
+     * faults arm).
+     */
+    CorrectedEarly,
+    /**
      * Hangs and memory spikes with parity off: bursts stay granted,
      * so faults land inside deferred windows and wake their bursters.
      */
@@ -119,6 +126,10 @@ runWorkload(Workload w, unsigned p, EngineMode mode, bool traced,
     if (faults == Faults::Corrected) {
         cfg.faults = fault::parseFaultSpec(
             "seed=7,rate=500,horizon=20000,kinds=flip+hang+mem,bits=1");
+        cfg.cell.parity = fault::ParityMode::Correct;
+    } else if (faults == Faults::CorrectedEarly) {
+        cfg.faults = fault::parseFaultSpec(
+            "seed=7,rate=2500,horizon=4000,kinds=flip+hang+mem,bits=1");
         cfg.cell.parity = fault::ParityMode::Correct;
     } else if (faults == Faults::Unprotected) {
         cfg.faults = fault::parseFaultSpec(
@@ -237,26 +248,36 @@ TEST(EngineModes, EveryWorkloadMatchesSpinUnderSkip)
     }
 }
 
-TEST(EngineModes, TraceStreamIsIdenticalUnderSkip)
-{
-    // The staged per-slot trace merge must reproduce the spin event
-    // ORDER, not just the same multiset of events.
-    const Workload loads[] = {Workload::MatUpdate, Workload::Lu};
-    for (Workload w : loads) {
-        RunOut spin =
-            runWorkload(w, 4, EngineMode::Spin, true, Faults::None);
-        RunOut got =
-            runWorkload(w, 4, EngineMode::Skip, true, Faults::None);
-        EXPECT_EQ(spin.cycles, got.cycles) << workloadName(w);
-        expectSameEvents(spin.events, got.events, workloadName(w));
-    }
-}
-
 TEST(EngineModes, FaultedRunsMatchUnderSkip)
 {
     // Injected flips, hangs and memory-latency spikes exercise every
     // wake-before-mutation hook; the stats JSON (fault counters,
     // recovery actions, sampled series) must not depend on the mode.
+    // Untraced, so the skip run really sleeps and wakes through them.
+    struct Case
+    {
+        Workload w;
+        Faults faults;
+    };
+    const Case cases[] = {{Workload::MatUpdate, Faults::Corrected},
+                          {Workload::Trmm, Faults::CorrectedEarly},
+                          {Workload::Syrk, Faults::CorrectedEarly}};
+    for (const Case &c : cases) {
+        const unsigned p = cellsFor(c.w);
+        RunOut spin = runWorkload(c.w, p, EngineMode::Spin, false,
+                                  c.faults);
+        RunOut got = runWorkload(c.w, p, EngineMode::Skip, false,
+                                 c.faults);
+        EXPECT_EQ(spin.cycles, got.cycles) << workloadName(c.w);
+        EXPECT_EQ(spin.statsJson, got.statsJson) << workloadName(c.w);
+        EXPECT_GT(got.fastForwards, 0u) << workloadName(c.w);
+        // A plan that never bites covers nothing.
+        RunOut clean = runWorkload(c.w, p, EngineMode::Spin, false,
+                                   Faults::None);
+        EXPECT_NE(spin.cycles, clean.cycles) << workloadName(c.w);
+    }
+
+    // The traced event stream under the same faults.
     RunOut spin = runWorkload(Workload::MatUpdate, 4, EngineMode::Spin,
                               true, Faults::Corrected);
     RunOut got = runWorkload(Workload::MatUpdate, 4, EngineMode::Skip,
@@ -297,6 +318,24 @@ TEST(EngineModes, SamplerSeriesIsPresentAndModeIndependent)
 // Mode-specific behaviour
 // ---------------------------------------------------------------------
 
+TEST(EngineModes, TracedRunsTickEveryCycle)
+{
+    // A cycle trace is a per-cycle record of the machine: a traced run
+    // takes the spin loop whatever the mode, so a Skip-configured
+    // traced run neither sleeps, jumps nor bursts, and reproduces the
+    // spin event ORDER, not just the same multiset of events.
+    for (Workload w : {Workload::Lu, Workload::MatUpdate}) {
+        RunOut spin =
+            runWorkload(w, 4, EngineMode::Spin, true, Faults::None);
+        RunOut sk = runWorkload(w, 4, EngineMode::Skip, true, Faults::None);
+        EXPECT_EQ(sk.fastForwards, 0u) << workloadName(w);
+        EXPECT_EQ(sk.skippedCycles, 0u) << workloadName(w);
+        EXPECT_EQ(sk.bursts, 0u) << workloadName(w);
+        EXPECT_EQ(spin.cycles, sk.cycles) << workloadName(w);
+        expectSameEvents(spin.events, sk.events, workloadName(w));
+    }
+}
+
 TEST(EngineModes, SkipModeSleepsOnStallHeavyRuns)
 {
     // LU quiesces the whole system at every pivot step; per-component
@@ -336,9 +375,9 @@ TEST(FastTier, OnMatchesOffInEveryModeEveryWorkload)
 
 TEST(FastTier, TracedRunsMatchOnVsOffInEveryMode)
 {
-    // With a tracer attached the tier refuses every burst (observers
-    // need per-cycle event edges), but the flag must still be inert:
-    // identical cycles, stats and event ORDER either way.
+    // A traced run ticks every cycle and never bursts, but the flag
+    // must still be inert: identical cycles, stats and event ORDER
+    // either way.
     for (EngineMode m : kModes) {
         RunOut off = runWorkload(Workload::MatUpdate, 4, m, true,
                                  Faults::None, false);
@@ -386,9 +425,9 @@ TEST(FastTier, FaultedRunsMatchOnVsOffInEveryMode)
 
 TEST(FastTier, FaultedTracedRunsMatchOnVsOff)
 {
-    // Tracing plus faults: the tier stays refused under the tracer
-    // while the fault machinery runs — stats, cycles and the full
-    // event stream must be identical on vs off.
+    // Tracing plus faults: a traced run never bursts while the fault
+    // machinery runs — stats, cycles and the full event stream must be
+    // identical on vs off.
     RunOut off = runWorkload(Workload::MatUpdate, 4, EngineMode::Skip,
                              true, Faults::Corrected, false);
     RunOut on = runWorkload(Workload::MatUpdate, 4, EngineMode::Skip,

@@ -176,8 +176,9 @@ TEST(EngineSkip, EveryWorkloadMatchesSpinExactly)
 
 TEST(EngineSkip, TraceStreamIsIdenticalUnderSkipping)
 {
-    // Cycle-major replay must reproduce the spin-mode event order, not
-    // just the same set of events.
+    // A traced run ticks every cycle whatever the mode, so the
+    // Skip-configured run must reproduce the spin-mode event order,
+    // not just the same set of events.
     const Workload loads[] = {Workload::MatUpdate, Workload::Lu};
     for (Workload w : loads) {
         RunOut spin = runWorkload(w, 2, 256, 4, EngineMode::Spin, true);
