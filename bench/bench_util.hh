@@ -19,7 +19,6 @@
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -240,58 +239,6 @@ sweepValues(const std::vector<std::function<double()>> &tasks,
 {
     return sim::sweep<double>(tasks, jobs);
 }
-
-/**
- * Sidecar fast-tier diagnostics, driven by `--fast-tier-report=<file>`.
- * Each case appends its Coprocessor::fastTierReport() under a named
- * header before its system is torn down; finish() writes the collected
- * text. A separate file — never part of BENCH_*.json, the stats tree
- * or the trace stream — because burst engagement varies with engine
- * mode and flags while those outputs are byte-identical by contract.
- * tools/trace_report renders the file next to --top-stalls output via
- * its own --fast-tier=<file> flag. Thread-safe: sweep cases run
- * concurrently.
- */
-class FastTierReportSession
-{
-  public:
-    FastTierReportSession(int argc, char **argv)
-        : path(argText(argc, argv, "--fast-tier-report"))
-    {}
-
-    bool wanted() const { return !path.empty(); }
-
-    /** Record one finished case's fast-tier counters. */
-    void
-    add(const std::string &case_name, const copro::Coprocessor &sys)
-    {
-        if (!wanted())
-            return;
-        std::lock_guard<std::mutex> lock(mtx);
-        text += "== " + case_name + "\n";
-        text += sys.fastTierReport();
-    }
-
-    void
-    finish()
-    {
-        if (!wanted())
-            return;
-        snap::ensureParentDir(path);
-        std::ofstream out(path);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n", path.c_str());
-            std::exit(1);
-        }
-        out << text;
-        std::printf("fast-tier report written to %s\n", path.c_str());
-    }
-
-  private:
-    std::string path;
-    std::mutex mtx;
-    std::string text;
-};
 
 /**
  * One traced run within a bench binary, driven by `--trace=<file>`.

@@ -62,7 +62,7 @@ struct CaseResult
 
 CaseResult
 runCase(const CaseSpec &spec, TraceSession &trace, StatsSession &stats,
-        FastTierReportSession &ft, SnapshotSession &snapshot)
+        SnapshotSession &snapshot)
 {
     auto cfg = timingConfig(spec.p, spec.tf, spec.tau);
     if (spec.sampled)
@@ -98,9 +98,6 @@ runCase(const CaseSpec &spec, TraceSession &trace, StatsSession &stats,
     }
     if (spec.sampled)
         stats.finish();
-    ft.add(strfmt("matupdate_P%u_Tf%zu_tau%u_K%zu", spec.p, spec.tf,
-                  spec.tau, spec.k),
-           sys);
     return {cycles, r, sys.stats().scalarValue("maPerCycle"), wall};
 }
 
@@ -117,7 +114,6 @@ main(int argc, char **argv)
     json.config("fast_tier", fastTierDefault() ? "on" : "off");
     TraceSession trace(argc, argv);
     StatsSession stats(argc, argv);
-    FastTierReportSession ft(argc, argv);
     SnapshotSession snapshot(argc, argv);
     const unsigned cells[] = {1, 4, 16};
     const std::size_t tfs[] = {512, 2048};
@@ -169,11 +165,10 @@ main(int argc, char **argv)
     std::vector<std::function<CaseResult()>> tasks;
     for (const CaseSpec &spec : specs)
         tasks.push_back(
-            [&spec, &trace, &stats, &ft, &snapshot] {
-                return runCase(spec, trace, stats, ft, snapshot);
+            [&spec, &trace, &stats, &snapshot] {
+                return runCase(spec, trace, stats, snapshot);
             });
     auto results = sim::sweep<CaseResult>(tasks, jobs);
-    ft.finish();
 
     std::size_t idx = 0;
     for (unsigned tau : taus) {

@@ -41,7 +41,7 @@ struct ConvResult
 
 ConvResult
 runCase(unsigned p_cells, std::size_t tf, unsigned tau, std::size_t n,
-        std::size_t m, FastTierReportSession &ft)
+        std::size_t m)
 {
     const unsigned p = 5, q = 5;
     copro::Coprocessor sys(timingConfig(p_cells, tf, tau));
@@ -66,7 +66,6 @@ runCase(unsigned p_cells, std::size_t tf, unsigned tau, std::size_t n,
     r.wu = geom.wu;
     r.cycles = cycles;
     r.wall = t1 - t0;
-    ft.add(strfmt("P%u_Tf%zu_tau%u", p_cells, tf, tau), sys);
     return r;
 }
 
@@ -87,15 +86,13 @@ main(int argc, char **argv)
     const std::pair<std::size_t, unsigned> configs[] = {
         {512, 4}, {512, 2}, {2048, 4}, {2048, 2}};
 
-    FastTierReportSession ft(argc, argv);
     std::vector<std::function<ConvResult()>> tasks;
     for (unsigned p : cells)
         for (auto [tf, tau] : configs)
-            tasks.push_back([p, tf = tf, tau = tau, n, m, &ft] {
-                return runCase(p, tf, tau, n, m, ft);
+            tasks.push_back([p, tf = tf, tau = tau, n, m] {
+                return runCase(p, tf, tau, n, m);
             });
     auto results = sim::sweep<ConvResult>(tasks, jobs);
-    ft.finish();
 
     BenchJsonWriter json("table_6_2");
     json.config("rows", long(n));

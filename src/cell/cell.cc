@@ -786,9 +786,8 @@ Cell::nextEventAt(Cycle now) const
 }
 
 void
-Cell::fastForward(Cycle from, Cycle cycles, sim::Engine &engine)
+Cell::fastForward(Cycle from, Cycle cycles)
 {
-    (void)engine;
     opac_assert(!tracer, "%s: fastForward under a tracer",
                 name().c_str());
     if (cycles == 0)
@@ -801,10 +800,10 @@ Cell::fastForward(Cycle from, Cycle cycles, sim::Engine &engine)
         statHangCycles += cycles;
         return;
     }
-    // Replay what tick() did in the quiescent round being replicated:
-    // the sequencer's per-state busy/stall accounting (no drainable
-    // writebacks and no state change by construction of the skip
-    // window).
+    // Every slept round is the round at `from` on the state the last
+    // tick left (no drainable writebacks and no state change by
+    // construction of the skip window): credit that round's
+    // per-state busy/stall accounting once per round.
     switch (state) {
       case SeqState::Idle:
         statIdle += cycles;

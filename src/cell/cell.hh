@@ -168,8 +168,7 @@ class Cell : public sim::Component
      * fixed decode countdown.
      */
     Cycle nextEventAt(Cycle now) const override;
-    void fastForward(Cycle from, Cycle cycles,
-                     sim::Engine &engine) override;
+    void fastForward(Cycle from, Cycle cycles) override;
 
     /** Close the sum/ret/reby occupancy intervals at @p now. */
     void settleAt(Cycle now) override;
@@ -189,8 +188,7 @@ class Cell : public sim::Component
         return cfg.parity == fault::ParityMode::Off;
     }
     Cycle burstQuantum(Cycle from) override;
-    void burstRun(Cycle from, Cycle cycles,
-                  sim::Engine &engine) override;
+    void burstRun(Cycle from, Cycle cycles) override;
 
     /**
      * Snapshot support: serialize the full architectural state —
@@ -447,7 +445,7 @@ class Cell : public sim::Component
     stats::Counter statHardResets;
 
     // Fast-tier diagnostics: a detached group (no parent), surfaced
-    // only through Coprocessor::fastTierReport() / fastTierStats().
+    // only through fastTierStats().
     stats::StatGroup ftGroup;
     stats::Counter statFtCompiled;
     stats::Counter statFtIneligible;

@@ -198,9 +198,8 @@ Cell::burstQuantum(Cycle from)
 }
 
 void
-Cell::burstRun(Cycle from, Cycle cycles, sim::Engine &engine)
+Cell::burstRun(Cycle from, Cycle cycles)
 {
-    (void)engine;
     const FastBody *b = burstBody;
     opac_assert(b && b->kernel == current,
                 "%s: burstRun without a granted window", name().c_str());

@@ -349,19 +349,6 @@ Coprocessor::statsReport() const
 }
 
 std::string
-Coprocessor::fastTierReport() const
-{
-    std::string out = strfmt(
-        "engine: burstAttempts %llu  bursts %llu  burstCycles %llu\n",
-        (unsigned long long)eng.burstAttempts(),
-        (unsigned long long)eng.bursts(),
-        (unsigned long long)eng.burstCycles());
-    for (const auto &c : cellPtrs)
-        c->fastTierStats().dump(out);
-    return out;
-}
-
-std::string
 Coprocessor::statsJson() const
 {
     std::string out = "{\"stats\": ";

@@ -162,14 +162,6 @@ class Coprocessor
     std::string statsReport() const;
 
     /**
-     * Fast-tier diagnostics: engine burst counts plus every cell's
-     * detached fastTier counter group. Deliberately NOT part of
-     * statsReport()/statsJson() — burst engagement varies with engine
-     * mode and flags while those outputs must not.
-     */
-    std::string fastTierReport() const;
-
-    /**
      * The full statistics tree plus the sampled time series (when
      * statsSampleInterval > 0) as one JSON object:
      * {"stats": {...}, "samples": {...}}.

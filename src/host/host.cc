@@ -745,9 +745,8 @@ Host::nextEventAt(Cycle now) const
 }
 
 void
-Host::fastForward(Cycle, Cycle cycles, sim::Engine &engine)
+Host::fastForward(Cycle, Cycle cycles)
 {
-    (void)engine;
     opac_assert(!tracer, "host: fastForward under a tracer");
     if (program.empty() || cycles == 0)
         return;
@@ -757,6 +756,9 @@ Host::fastForward(Cycle, Cycle cycles, sim::Engine &engine)
         cooldown -= unsigned(cycles);
         return;
     }
+    // Credit by the front op, not by what the last tick counted: the
+    // host often falls asleep straight out of a cooldown round into a
+    // bus stall (at tau = 3), and every slept round is then a stall.
     const HostOp &op = program.front();
     switch (op.kind) {
       case HostOp::Kind::Send:

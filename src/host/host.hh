@@ -170,8 +170,7 @@ class Host : public sim::Component
      * states report only the deadline (noEvent outside transactions).
      */
     Cycle nextEventAt(Cycle now) const override;
-    void fastForward(Cycle from, Cycle cycles,
-                     sim::Engine &engine) override;
+    void fastForward(Cycle from, Cycle cycles) override;
 
     std::uint64_t wordsSent() const { return statWordsSent.value(); }
     std::uint64_t wordsReceived() const { return statWordsRecv.value(); }

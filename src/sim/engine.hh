@@ -123,17 +123,21 @@ class Component
      * Replay the per-cycle side effects of @p cycles quiescent tick
      * rounds starting at cycle @p from: everything tick() would have
      * done in each of those rounds given that none of them can make
-     * progress (stall/busy counters, countdown decrements). The engine guarantees from + cycles <=
-     * this component's nextEventAt hint, so every replayed round is
-     * an exact replica of the quiescent round that preceded the
-     * sleep. Never called with a tracer attached (traced runs tick
-     * every cycle), so replayed rounds emit no trace events.
+     * progress (stall/busy counters, countdown decrements). The engine
+     * guarantees from + cycles <= this component's nextEventAt hint,
+     * so the slept rounds are copies of each other: each one is the
+     * round at @p from, evaluated on the state the last tick left
+     * behind. They need not be copies of that last ticked round — a
+     * component may fall asleep straight out of a countdown round
+     * into a stall (the host at tau = 3) — so replay by the state,
+     * not by what the last tick counted. Never called with a tracer
+     * attached (traced runs tick every cycle), so replayed rounds
+     * emit no trace events.
      */
-    virtual void fastForward(Cycle from, Cycle cycles, Engine &engine)
+    virtual void fastForward(Cycle from, Cycle cycles)
     {
         (void)from;
         (void)cycles;
-        (void)engine;
     }
 
     /**
@@ -177,11 +181,10 @@ class Component
      * rounds would have. Does not call Engine::noteProgress(): the
      * engine accounts the window's rounds as progress itself.
      */
-    virtual void burstRun(Cycle from, Cycle cycles, Engine &engine)
+    virtual void burstRun(Cycle from, Cycle cycles)
     {
         (void)from;
         (void)cycles;
-        (void)engine;
     }
 
     /**

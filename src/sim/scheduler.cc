@@ -44,10 +44,10 @@ Engine::replaySlot(unsigned slot, Cycle upTo)
     Component *c = components[slot];
     Cycle count = upTo - ss.sleptFrom;
     if (ss.burst) {
-        c->burstRun(ss.sleptFrom, count, *this);
+        c->burstRun(ss.sleptFrom, count);
         _burstCycles += count;
     } else {
-        c->fastForward(ss.sleptFrom, count, *this);
+        c->fastForward(ss.sleptFrom, count);
         ++_fastForwards;
     }
     ss.sleptFrom = upTo;
@@ -200,12 +200,13 @@ Engine::runSkip(Cycle max_cycles)
         burstWakeProgress_ = false;
         if (awake_ != 0)
             continue;
-        // Every component is asleep or deferred: all rounds up to the
-        // earliest wake-up are replicas of their sleep or burst rounds,
-        // so jump there in one step (everyone replays lazily on wake
-        // as usual). Clamped to the watchdog, max_cycles and runUntil
-        // deadlines so each fires at exactly the cycle the spin run
-        // reaches it.
+        // Every component is asleep or deferred: up to the earliest
+        // wake-up, each sleeper's rounds are copies of the round at
+        // its sleptFrom (on the state its last tick left) and each
+        // burster's lie inside its granted window, so jump there in
+        // one step (everyone replays lazily on wake as usual).
+        // Clamped to the watchdog, max_cycles and runUntil deadlines
+        // so each fires at exactly the cycle the spin run reaches it.
         Cycle target = Component::noEvent;
         for (const SleepState &ss : sleep_)
             target = std::min(target, ss.wakeAt);

@@ -3,229 +3,25 @@
  * Golden-equivalence suite for the engine modes: the per-component
  * skip scheduler must produce results bit-identical to the spin
  * reference — same cycle count, same statistics JSON (including the
- * sampled time series), same trace event stream — on every workload
- * (the linear-algebra kernels at P = 4, a host-streaming conv2d at
- * P = 16, tau = 4), with and without active fault injection, with the
- * superop fast tier on or off.
+ * sampled time series), same memory image, same trace event stream —
+ * on every workload of the golden catalogue (the linear-algebra
+ * kernels at P = 4, a host-streaming conv2d at P = 16, tau = 4), with
+ * and without active fault injection, with the superop fast tier on
+ * or off. Runs and comparisons come from the golden harness.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
-#include "fault/fault.hh"
-#include "kernels/kernel_set.hh"
-#include "planner/linalg_plan.hh"
-#include "planner/signal_plan.hh"
-#include "trace/trace.hh"
-
-#include "occupancy_pin.hh"
+#include "golden.hh"
 
 using namespace opac;
-using namespace opac::planner;
-using copro::CoprocConfig;
-using copro::Coprocessor;
+using namespace opac::test::golden;
 using sim::EngineMode;
 
 namespace
 {
-
-enum class Workload
-{
-    MatUpdate,
-    Lu,
-    Trmm,
-    Syrk,
-    /**
-     * Table 6.2's shape scaled down: 5x5 conv2d streamed by the host
-     * to P = 16 cells at tau = 4. The host stays busy on the bus
-     * while every cell runs its chained-FMA passes, so bursts must be
-     * per-component.
-     */
-    Conv,
-};
-
-/** Cell count each workload runs at in the golden comparisons. */
-unsigned
-cellsFor(Workload w)
-{
-    return w == Workload::Conv ? 16 : 4;
-}
-
-const Workload kAllLoads[] = {Workload::MatUpdate, Workload::Lu,
-                              Workload::Trmm, Workload::Syrk,
-                              Workload::Conv};
-
-const char *
-workloadName(Workload w)
-{
-    switch (w) {
-      case Workload::MatUpdate:
-        return "matupdate";
-      case Workload::Lu:
-        return "lu";
-      case Workload::Trmm:
-        return "trmm";
-      case Workload::Syrk:
-        return "syrk";
-      case Workload::Conv:
-        return "conv";
-    }
-    return "?";
-}
-
-struct RunOut
-{
-    Cycle cycles = 0;
-    std::string statsJson;
-    std::vector<trace::Event> events;
-    std::uint64_t fastForwards = 0;
-    std::uint64_t skippedCycles = 0;
-    std::uint64_t bursts = 0;
-};
-
-/** Fault plans of the faulted runs. */
-enum class Faults
-{
-    None,
-    /**
-     * Correctable FIFO flips, transient hangs and memory-latency
-     * spikes under parity=correct, dense enough (rate is per Mcycle
-     * over the horizon) that several land inside even the smallest
-     * workload here. Parity makes every queue unstreamable, so no
-     * burst is ever granted.
-     */
-    Corrected,
-    /**
-     * Corrected's kinds and parity packed into the first 4000 cycles,
-     * so that faults land inside the shortest runs here too (trmm and
-     * syrk finish in about 5000 cycles, before most of Corrected's
-     * faults arm).
-     */
-    CorrectedEarly,
-    /**
-     * Hangs and memory spikes with parity off: bursts stay granted,
-     * so faults land inside deferred windows and wake their bursters.
-     */
-    Unprotected,
-};
-
-RunOut
-runWorkload(Workload w, unsigned p, EngineMode mode, bool traced,
-            Faults faults, bool fast_tier = true)
-{
-    CoprocConfig cfg;
-    cfg.cells = p;
-    cfg.cell.tf = 256;
-    cfg.host.tau = w == Workload::Conv ? 4 : 2;
-    cfg.watchdogCycles = 500000;
-    cfg.statsSampleInterval = 64;
-    cfg.engineMode = mode;
-    cfg.fastTier = fast_tier;
-    if (faults == Faults::Corrected) {
-        cfg.faults = fault::parseFaultSpec(
-            "seed=7,rate=500,horizon=20000,kinds=flip+hang+mem,bits=1");
-        cfg.cell.parity = fault::ParityMode::Correct;
-    } else if (faults == Faults::CorrectedEarly) {
-        cfg.faults = fault::parseFaultSpec(
-            "seed=7,rate=2500,horizon=4000,kinds=flip+hang+mem,bits=1");
-        cfg.cell.parity = fault::ParityMode::Correct;
-    } else if (faults == Faults::Unprotected) {
-        cfg.faults = fault::parseFaultSpec(
-            "seed=7,rate=500,horizon=20000,kinds=hang+mem");
-    }
-    Coprocessor sys(cfg);
-    kernels::installStandardKernels(sys);
-
-    trace::Tracer tracer;
-    trace::VectorSink sink;
-    if (traced) {
-        tracer.addSink(&sink);
-        sys.attachTracer(&tracer);
-    }
-
-    LinalgPlanner plan(sys);
-    const std::size_t n = 24, k = 40;
-    switch (w) {
-      case Workload::MatUpdate: {
-        MatRef c = allocMat(sys.memory(), n, n);
-        MatRef a = allocMat(sys.memory(), n, k);
-        MatRef b = allocMat(sys.memory(), k, n);
-        plan.matUpdate(c, a, b);
-        break;
-      }
-      case Workload::Lu: {
-        MatRef a = allocMat(sys.memory(), n, n);
-        for (std::size_t i = 0; i < n; ++i)
-            sys.memory().storeF(a.addrOf(i, i), 2.0f);
-        plan.lu(a);
-        break;
-      }
-      case Workload::Trmm: {
-        MatRef u = allocMat(sys.memory(), n, n);
-        MatRef b = allocMat(sys.memory(), n, 16);
-        MatRef out = allocMat(sys.memory(), n, 16);
-        plan.trmmLeftUpper(out, u, b);
-        break;
-      }
-      case Workload::Syrk: {
-        MatRef c = allocMat(sys.memory(), n, n);
-        MatRef a = allocMat(sys.memory(), n, 16);
-        plan.syrkLower(c, a);
-        break;
-      }
-      case Workload::Conv: {
-        // 16 columns per cell: passes long enough for the dense
-        // steady state to outlast the pipeline ramp.
-        const std::size_t rows = 8, cols = 256;
-        const unsigned kp = 5, kq = 5;
-        MatRef image_t = allocMat(sys.memory(), cols + kq - 1, rows + kp);
-        MatRef wr = allocMat(sys.memory(), kp, kq);
-        MatRef out_t = allocMat(sys.memory(), cols, rows);
-        for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t c = 0; c < cols; ++c) {
-                sys.memory().storeF(image_t.addrOf(c, r),
-                                    float((r * 7 + c * 3) % 11) - 5.0f);
-            }
-        }
-        for (unsigned i = 0; i < kp; ++i) {
-            for (unsigned j = 0; j < kq; ++j)
-                sys.memory().storeF(wr.addrOf(i, j), 0.25f * (i + j));
-        }
-        SignalPlanner sig(sys);
-        sig.conv2d(image_t, wr, out_t, rows, cols);
-        sig.commit();
-        break;
-      }
-    }
-    plan.commit();
-
-    RunOut out;
-    out.cycles = sys.run();
-    out.statsJson = sys.statsJson();
-    out.events = std::move(sink.events);
-    out.fastForwards = sys.engine().fastForwards();
-    out.skippedCycles = sys.engine().skippedCycles();
-    out.bursts = sys.engine().bursts();
-    return out;
-}
-
-void
-expectSameEvents(const std::vector<trace::Event> &ref,
-                 const std::vector<trace::Event> &got, const char *what)
-{
-    ASSERT_EQ(ref.size(), got.size()) << what;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        const trace::Event &a = ref[i];
-        const trace::Event &b = got[i];
-        ASSERT_TRUE(a.cycle == b.cycle && a.kind == b.kind &&
-                    a.arg == b.arg && a.comp == b.comp &&
-                    a.track == b.track && a.a == b.a && a.b == b.b)
-            << what << ": event " << i << " differs (cycle "
-            << a.cycle << " vs " << b.cycle << ")";
-    }
-}
 
 const EngineMode kModes[] = {EngineMode::Spin, EngineMode::Skip};
 
@@ -237,15 +33,8 @@ const EngineMode kModes[] = {EngineMode::Spin, EngineMode::Skip};
 
 TEST(EngineModes, EveryWorkloadMatchesSpinUnderSkip)
 {
-    for (Workload w : kAllLoads) {
-        const unsigned p = cellsFor(w);
-        RunOut spin =
-            runWorkload(w, p, EngineMode::Spin, false, Faults::None);
-        RunOut got =
-            runWorkload(w, p, EngineMode::Skip, false, Faults::None);
-        EXPECT_EQ(spin.cycles, got.cycles) << workloadName(w);
-        EXPECT_EQ(spin.statsJson, got.statsJson) << workloadName(w);
-    }
+    for (Workload w : kWorkloads)
+        check(RunSpec(w).in(EngineMode::Skip));
 }
 
 TEST(EngineModes, FaultedRunsMatchUnderSkip)
@@ -254,50 +43,34 @@ TEST(EngineModes, FaultedRunsMatchUnderSkip)
     // wake-before-mutation hook; the stats JSON (fault counters,
     // recovery actions, sampled series) must not depend on the mode.
     // Untraced, so the skip run really sleeps and wakes through them.
-    struct Case
-    {
-        Workload w;
-        Faults faults;
+    // The Recovery plan adds bus drops and duplicates, halts and live
+    // transaction retries on the two-cell machine: skipping must
+    // neither miss an injection nor shift a timeout.
+    const RunSpec cases[] = {
+        RunSpec(Workload::MatUpdate, Plan::Corrected),
+        RunSpec(Workload::Trmm, Plan::CorrectedEarly),
+        RunSpec(Workload::Syrk, Plan::CorrectedEarly),
+        RunSpec(Workload::MatUpdate, {2, 512, 2}, Plan::Recovery),
+        RunSpec(Workload::Lu, {2, 512, 2}, Plan::Recovery),
     };
-    const Case cases[] = {{Workload::MatUpdate, Faults::Corrected},
-                          {Workload::Trmm, Faults::CorrectedEarly},
-                          {Workload::Syrk, Faults::CorrectedEarly}};
-    for (const Case &c : cases) {
-        const unsigned p = cellsFor(c.w);
-        RunOut spin = runWorkload(c.w, p, EngineMode::Spin, false,
-                                  c.faults);
-        RunOut got = runWorkload(c.w, p, EngineMode::Skip, false,
-                                 c.faults);
-        EXPECT_EQ(spin.cycles, got.cycles) << workloadName(c.w);
-        EXPECT_EQ(spin.statsJson, got.statsJson) << workloadName(c.w);
-        EXPECT_GT(got.fastForwards, 0u) << workloadName(c.w);
+    for (const RunSpec &r : cases) {
+        const RunOut &got = check(r.in(EngineMode::Skip));
+        EXPECT_GT(got.fastForwards, 0u) << r.name();
         // A plan that never bites covers nothing.
-        RunOut clean = runWorkload(c.w, p, EngineMode::Spin, false,
-                                   Faults::None);
-        EXPECT_NE(spin.cycles, clean.cycles) << workloadName(c.w);
+        const RunOut &clean = run(RunSpec(r.load, r.shape));
+        EXPECT_NE(run(r).cycles, clean.cycles) << r.name();
+        // Retry and replay end in the fault-free result.
+        if (r.plan == Plan::Recovery) {
+            EXPECT_EQ(run(r).memSum, clean.memSum) << r.name();
+        }
     }
-
-    // The traced event stream under the same faults.
-    RunOut spin = runWorkload(Workload::MatUpdate, 4, EngineMode::Spin,
-                              true, Faults::Corrected);
-    RunOut got = runWorkload(Workload::MatUpdate, 4, EngineMode::Skip,
-                             true, Faults::Corrected);
-    EXPECT_EQ(spin.cycles, got.cycles);
-    EXPECT_EQ(spin.statsJson, got.statsJson);
-    expectSameEvents(spin.events, got.events, "faulted");
 
     // Unprotected hangs landing inside deferred burst windows (the
     // untraced skip run bursts): the woken burster's replay must stop
     // exactly where the fault freezes it.
     for (Workload w : {Workload::MatUpdate, Workload::Conv}) {
-        const unsigned p = cellsFor(w);
-        RunOut ref = runWorkload(w, p, EngineMode::Spin, false,
-                                 Faults::Unprotected);
-        RunOut sk = runWorkload(w, p, EngineMode::Skip, false,
-                                Faults::Unprotected);
-        EXPECT_EQ(ref.cycles, sk.cycles) << workloadName(w);
-        EXPECT_EQ(ref.statsJson, sk.statsJson) << workloadName(w);
-        EXPECT_GT(sk.bursts, 0u) << workloadName(w);
+        const RunSpec r = RunSpec(w, Plan::Unprotected).in(EngineMode::Skip);
+        EXPECT_GT(check(r).bursts, 0u) << r.name();
     }
 }
 
@@ -306,12 +79,9 @@ TEST(EngineModes, SamplerSeriesIsPresentAndModeIndependent)
     // The periodic sampler must fire on the same engine cycles in
     // both modes (observesSystemAt forces a full catch-up first), so
     // the sampled series is part of the byte-identical contract.
-    RunOut spin = runWorkload(Workload::Lu, 2, EngineMode::Spin, false,
-                              Faults::None);
-    ASSERT_NE(spin.statsJson.find("\"samples\""), std::string::npos);
-    RunOut got = runWorkload(Workload::Lu, 2, EngineMode::Skip, false,
-                             Faults::None);
-    EXPECT_EQ(spin.statsJson, got.statsJson);
+    const RunSpec lu(Workload::Lu, {2, 256, 2});
+    ASSERT_NE(run(lu).statsJson.find("\"samples\""), std::string::npos);
+    check(lu.in(EngineMode::Skip));
 }
 
 // ---------------------------------------------------------------------
@@ -321,18 +91,31 @@ TEST(EngineModes, SamplerSeriesIsPresentAndModeIndependent)
 TEST(EngineModes, TracedRunsTickEveryCycle)
 {
     // A cycle trace is a per-cycle record of the machine: a traced run
-    // takes the spin loop whatever the mode, so a Skip-configured
-    // traced run neither sleeps, jumps nor bursts, and reproduces the
-    // spin event ORDER, not just the same multiset of events.
-    for (Workload w : {Workload::Lu, Workload::MatUpdate}) {
-        RunOut spin =
-            runWorkload(w, 4, EngineMode::Spin, true, Faults::None);
-        RunOut sk = runWorkload(w, 4, EngineMode::Skip, true, Faults::None);
-        EXPECT_EQ(sk.fastForwards, 0u) << workloadName(w);
-        EXPECT_EQ(sk.skippedCycles, 0u) << workloadName(w);
-        EXPECT_EQ(sk.bursts, 0u) << workloadName(w);
-        EXPECT_EQ(spin.cycles, sk.cycles) << workloadName(w);
-        expectSameEvents(spin.events, sk.events, workloadName(w));
+    // takes the spin loop whatever the mode and tier, so a traced run
+    // neither sleeps, jumps nor bursts, and reproduces the spin event
+    // ORDER, not just the same multiset of events. Covers the
+    // Skip-configured runs of both default-shape linear-algebra
+    // kernels and of a P = 2, tau = 4 machine, tier off in both modes,
+    // and a faulted run with the tier on and off.
+    const Shape p2tau4{2, 256, 4};
+    const RunSpec cases[] = {
+        RunSpec(Workload::Lu).in(EngineMode::Skip),
+        RunSpec(Workload::MatUpdate).in(EngineMode::Skip),
+        RunSpec(Workload::Lu, p2tau4).in(EngineMode::Skip),
+        RunSpec(Workload::MatUpdate, p2tau4).in(EngineMode::Skip),
+        RunSpec(Workload::MatUpdate).in(EngineMode::Spin, false),
+        RunSpec(Workload::MatUpdate).in(EngineMode::Skip, false),
+        RunSpec(Workload::MatUpdate, Plan::Corrected).in(EngineMode::Skip),
+        RunSpec(Workload::MatUpdate, Plan::Corrected)
+            .in(EngineMode::Skip, false),
+    };
+    for (const RunSpec &c : cases) {
+        const RunSpec r = c.withTrace();
+        const RunOut &got = check(r);
+        EXPECT_FALSE(got.events.empty()) << r.name();
+        EXPECT_EQ(got.fastForwards, 0u) << r.name();
+        EXPECT_EQ(got.skippedCycles, 0u) << r.name();
+        EXPECT_EQ(got.bursts, 0u) << r.name();
     }
 }
 
@@ -341,8 +124,8 @@ TEST(EngineModes, SkipModeSleepsOnStallHeavyRuns)
     // LU quiesces the whole system at every pivot step; per-component
     // sleeping and the all-asleep jump must engage there or the skip
     // scheduler is dead code.
-    RunOut sk = runWorkload(Workload::Lu, 1, EngineMode::Skip, false,
-                            Faults::None);
+    const RunOut &sk =
+        run(RunSpec(Workload::Lu, {1, 256, 2}).in(EngineMode::Skip));
     EXPECT_GT(sk.fastForwards, 0u);
     EXPECT_GT(sk.skippedCycles, 0u);
     EXPECT_LE(sk.skippedCycles, sk.cycles);
@@ -354,42 +137,18 @@ TEST(EngineModes, SkipModeSleepsOnStallHeavyRuns)
 //
 // The fast tier is a pure wall-clock optimization: with it on or off,
 // cycles, stats JSON (sampled series included) and trace streams must
-// be byte-identical in both engine modes. fastForwards/skippedCycles
-// are engine diagnostics and legitimately differ — never compare them
-// across tier settings.
+// be byte-identical in both engine modes. Both settings are compared
+// with the spin reference, which makes them identical to each other.
+// fastForwards/skippedCycles are engine diagnostics and legitimately
+// differ — never compare them across tier settings.
 
 TEST(FastTier, OnMatchesOffInEveryModeEveryWorkload)
 {
-    for (Workload w : kAllLoads) {
-        const unsigned p = cellsFor(w);
+    for (Workload w : kWorkloads) {
         for (EngineMode m : kModes) {
-            RunOut off = runWorkload(w, p, m, false, Faults::None, false);
-            RunOut on = runWorkload(w, p, m, false, Faults::None, true);
-            EXPECT_EQ(off.cycles, on.cycles)
-                << workloadName(w) << " mode=" << sim::engineModeName(m);
-            EXPECT_EQ(off.statsJson, on.statsJson)
-                << workloadName(w) << " mode=" << sim::engineModeName(m);
+            for (bool tier : {false, true})
+                check(RunSpec(w).in(m, tier));
         }
-    }
-}
-
-TEST(FastTier, TracedRunsMatchOnVsOffInEveryMode)
-{
-    // A traced run ticks every cycle and never bursts, but the flag
-    // must still be inert: identical cycles, stats and event ORDER
-    // either way.
-    for (EngineMode m : kModes) {
-        RunOut off = runWorkload(Workload::MatUpdate, 4, m, true,
-                                 Faults::None, false);
-        RunOut on = runWorkload(Workload::MatUpdate, 4, m, true,
-                                Faults::None, true);
-        EXPECT_EQ(off.cycles, on.cycles)
-            << "mode=" << sim::engineModeName(m);
-        EXPECT_EQ(off.statsJson, on.statsJson)
-            << "mode=" << sim::engineModeName(m);
-        std::string what =
-            std::string("traced tier mode=") + sim::engineModeName(m);
-        expectSameEvents(off.events, on.events, what.c_str());
     }
 }
 
@@ -401,52 +160,24 @@ TEST(FastTier, FaultedRunsMatchOnVsOffInEveryMode)
     // timeline diverges between tier settings. Corrected faults run
     // with parity on (no burst is granted); unprotected hangs and
     // memory spikes leave parity off, so they land inside windows.
-    struct Case
-    {
-        Workload w;
-        Faults faults;
-    };
-    const Case cases[] = {{Workload::MatUpdate, Faults::Corrected},
-                          {Workload::MatUpdate, Faults::Unprotected},
-                          {Workload::Conv, Faults::Unprotected}};
-    for (const Case &c : cases) {
-        const unsigned p = cellsFor(c.w);
+    const RunSpec cases[] = {RunSpec(Workload::MatUpdate, Plan::Corrected),
+                         RunSpec(Workload::MatUpdate, Plan::Unprotected),
+                         RunSpec(Workload::Conv, Plan::Unprotected)};
+    for (const RunSpec &r : cases) {
         for (EngineMode m : kModes) {
-            RunOut off = runWorkload(c.w, p, m, false, c.faults, false);
-            RunOut on = runWorkload(c.w, p, m, false, c.faults, true);
-            std::string what = std::string(workloadName(c.w))
-                               + " faults=" + std::to_string(int(c.faults))
-                               + " mode=" + sim::engineModeName(m);
-            EXPECT_EQ(off.cycles, on.cycles) << what;
-            EXPECT_EQ(off.statsJson, on.statsJson) << what;
+            for (bool tier : {false, true})
+                check(r.in(m, tier));
         }
     }
-}
-
-TEST(FastTier, FaultedTracedRunsMatchOnVsOff)
-{
-    // Tracing plus faults: a traced run never bursts while the fault
-    // machinery runs — stats, cycles and the full event stream must be
-    // identical on vs off.
-    RunOut off = runWorkload(Workload::MatUpdate, 4, EngineMode::Skip,
-                             true, Faults::Corrected, false);
-    RunOut on = runWorkload(Workload::MatUpdate, 4, EngineMode::Skip,
-                            true, Faults::Corrected, true);
-    EXPECT_EQ(off.cycles, on.cycles);
-    EXPECT_EQ(off.statsJson, on.statsJson);
-    expectSameEvents(off.events, on.events, "faulted traced tier");
 }
 
 TEST(FastTier, BurstsEngageOnSteadyStreamingLoops)
 {
     // The tier must actually fire on its target workload (untraced
     // streaming matrix update) or the whole fast path is dead code.
-    RunOut on = runWorkload(Workload::MatUpdate, 1, EngineMode::Skip,
-                            false, Faults::None, true);
-    EXPECT_GT(on.bursts, 0u);
-    RunOut off = runWorkload(Workload::MatUpdate, 1, EngineMode::Skip,
-                             false, Faults::None, false);
-    EXPECT_EQ(off.bursts, 0u);
+    const RunSpec mu(Workload::MatUpdate, {1, 256, 2});
+    EXPECT_GT(run(mu.in(EngineMode::Skip, true)).bursts, 0u);
+    EXPECT_EQ(run(mu.in(EngineMode::Skip, false)).bursts, 0u);
 }
 
 TEST(FastTier, BurstsEngageWhileTheHostStreams)
@@ -454,12 +185,9 @@ TEST(FastTier, BurstsEngageWhileTheHostStreams)
     // Host-paced conv2d: the host pushes a bus word every tau cycles
     // for the whole run, so no machine-wide quiet window ever exists.
     // Cells must still burst their chained-FMA passes individually.
-    RunOut on = runWorkload(Workload::Conv, 16, EngineMode::Skip, false,
-                            Faults::None, true);
-    EXPECT_GT(on.bursts, 0u);
-    RunOut spin = runWorkload(Workload::Conv, 16, EngineMode::Spin,
-                              false, Faults::None, true);
-    EXPECT_EQ(spin.bursts, 0u);
+    const RunSpec conv(Workload::Conv);
+    EXPECT_GT(run(conv.in(EngineMode::Skip)).bursts, 0u);
+    EXPECT_EQ(run(conv).bursts, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -479,27 +207,27 @@ namespace
 struct PinnedOccupancy
 {
     Workload w;
-    Faults faults;
+    Plan plan;
     std::uint64_t digest;
     std::uint64_t samples;
 };
 
 const PinnedOccupancy kOccupancyPins[] = {
-    {Workload::MatUpdate, Faults::None, 0x860d3f41110e8d32ull, 112440},
-    {Workload::MatUpdate, Faults::Corrected, 0x6426b68e994dca75ull, 126468},
-    {Workload::MatUpdate, Faults::Unprotected, 0x64bf4bd5930597dfull, 133356},
-    {Workload::Lu, Faults::None, 0x017761b215970883ull, 65448},
-    {Workload::Lu, Faults::Corrected, 0xc7f4baf93b6f368cull, 67176},
-    {Workload::Lu, Faults::Unprotected, 0x48ef2571ddec96e0ull, 87420},
-    {Workload::Trmm, Faults::None, 0x4c38feee0ae2739dull, 55224},
-    {Workload::Trmm, Faults::Corrected, 0x4c38feee0ae2739dull, 55224},
-    {Workload::Trmm, Faults::Unprotected, 0x081ccc7a94134c58ull, 74760},
-    {Workload::Syrk, Faults::None, 0x67102ddb6a389e4dull, 62040},
-    {Workload::Syrk, Faults::Corrected, 0x67102ddb6a389e4dull, 62040},
-    {Workload::Syrk, Faults::Unprotected, 0xa385fa3ac681984full, 81492},
-    {Workload::Conv, Faults::None, 0xcba80247429e36f6ull, 1396272},
-    {Workload::Conv, Faults::Corrected, 0x7d31980b4c91f066ull, 1412832},
-    {Workload::Conv, Faults::Unprotected, 0xbe9ab1172ba67bd9ull, 1410528},
+    {Workload::MatUpdate, Plan::None, 0x860d3f41110e8d32ull, 112440},
+    {Workload::MatUpdate, Plan::Corrected, 0x6426b68e994dca75ull, 126468},
+    {Workload::MatUpdate, Plan::Unprotected, 0x64bf4bd5930597dfull, 133356},
+    {Workload::Lu, Plan::None, 0x017761b215970883ull, 65448},
+    {Workload::Lu, Plan::Corrected, 0xc7f4baf93b6f368cull, 67176},
+    {Workload::Lu, Plan::Unprotected, 0x48ef2571ddec96e0ull, 87420},
+    {Workload::Trmm, Plan::None, 0x4c38feee0ae2739dull, 55224},
+    {Workload::Trmm, Plan::Corrected, 0x4c38feee0ae2739dull, 55224},
+    {Workload::Trmm, Plan::Unprotected, 0x081ccc7a94134c58ull, 74760},
+    {Workload::Syrk, Plan::None, 0x67102ddb6a389e4dull, 62040},
+    {Workload::Syrk, Plan::Corrected, 0x67102ddb6a389e4dull, 62040},
+    {Workload::Syrk, Plan::Unprotected, 0xa385fa3ac681984full, 81492},
+    {Workload::Conv, Plan::None, 0xcba80247429e36f6ull, 1396272},
+    {Workload::Conv, Plan::Corrected, 0x7d31980b4c91f066ull, 1412832},
+    {Workload::Conv, Plan::Unprotected, 0xbe9ab1172ba67bd9ull, 1410528},
 };
 
 } // anonymous namespace
@@ -517,19 +245,13 @@ TEST(Occupancy, MatchesPerRoundSamplingInEveryMode)
                           {EngineMode::Skip, false},
                           {EngineMode::Skip, true}};
     for (const PinnedOccupancy &pin : kOccupancyPins) {
-        const unsigned p = cellsFor(pin.w);
         for (const Mode &m : modes) {
-            RunOut out = runWorkload(pin.w, p, m.mode, false, pin.faults,
-                                     m.fastTier);
-            const test::OccupancyPin got =
-                test::localOccupancy(out.statsJson, p);
+            const RunSpec r = RunSpec(pin.w, pin.plan).in(m.mode, m.fastTier);
+            const test::OccupancyPin &got = run(r).occupancy;
             EXPECT_TRUE(got.digest == pin.digest
                         && got.samples == pin.samples)
-                << workloadName(pin.w) << " faults=" << int(pin.faults)
-                << " mode=" << sim::engineModeName(m.mode)
-                << " tier=" << (m.fastTier ? "on" : "off") << ": got 0x"
-                << std::hex << got.digest << std::dec << ", "
-                << got.samples << " samples\n"
+                << r.name() << ": got 0x" << std::hex << got.digest
+                << std::dec << ", " << got.samples << " samples\n"
                 << got.objects;
         }
     }

@@ -4,8 +4,9 @@
  * (docs/RESILIENCE.md): seed-determinism of fault plans, SECDED word
  * protection, per-site parity detect/correct survival, transaction
  * timeout -> retry -> replay over the kernel library, dead-cell
- * degradation with re-planning, spin-vs-skip cycle identity under
- * faults, and the engine's non-fatal watchdog callback.
+ * degradation with re-planning, and the engine's non-fatal watchdog
+ * callback. Spin-vs-skip identity under faults lives in the golden
+ * suites (tests/golden.hh, plan Recovery).
  */
 
 #include <gtest/gtest.h>
@@ -582,33 +583,6 @@ TEST(Recovery, AllCellsDeadThrowsRecoveryError)
     });
     jobs.dispatch();
     EXPECT_THROW(sys.run(), RecoveryError);
-}
-
-// ---------------------------------------------------------------------
-// Fast-forward identity under faults
-// ---------------------------------------------------------------------
-
-TEST(Faults, SkipAndSpinAreCycleIdentical)
-{
-    // A plan mixing every recoverable kind, with the retry machinery
-    // live: idle-cycle skipping must neither miss an injection nor
-    // shift a timeout.
-    auto run = [](bool skip) {
-        CoprocConfig cfg = makeConfig(2);
-        cfg.engineMode = skip ? sim::EngineMode::Skip : sim::EngineMode::Spin;
-        protect(cfg,
-                "seed=4,n=6,horizon=4000,"
-                "kinds=flip+drop+dup+hang+halt+mem",
-                fault::ParityMode::Detect, /*timeout=*/2500);
-        Cycle cycles = 0;
-        std::vector<float> vals =
-            runWorkload(cfg, &linalgWorkload, &cycles);
-        return std::pair<Cycle, std::vector<float>>(cycles, vals);
-    };
-    auto skip = run(true);
-    auto spin = run(false);
-    EXPECT_EQ(skip.first, spin.first);
-    EXPECT_EQ(skip.second, spin.second);
 }
 
 // ---------------------------------------------------------------------

@@ -93,7 +93,7 @@ class Streamer : public Component
     }
 
     void
-    fastForward(Cycle from, Cycle cycles, Engine &) override
+    fastForward(Cycle from, Cycle cycles) override
     {
         (void)from;
         frozenTicks += cycles;
@@ -110,7 +110,7 @@ class Streamer : public Component
     }
 
     void
-    burstRun(Cycle from, Cycle cycles, Engine &) override
+    burstRun(Cycle from, Cycle cycles) override
     {
         for (Cycle k = 0; k < cycles; ++k)
             cycleSum += from + k;

@@ -19,23 +19,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <future>
 #include <string>
 #include <vector>
 
 #include "common/error.hh"
-#include "fault/fault.hh"
 #include "kernels/kernel_set.hh"
-#include "planner/linalg_plan.hh"
-#include "planner/signal_plan.hh"
 #include "serve/server.hh"
 #include "snap/snapshot.hh"
-#include "trace/sinks.hh"
-#include "trace/trace.hh"
+
+#include "golden.hh"
 
 using namespace opac;
-using namespace opac::planner;
+using namespace opac::test::golden;
 using copro::CoprocConfig;
 using copro::Coprocessor;
 using sim::EngineMode;
@@ -43,159 +39,24 @@ using sim::EngineMode;
 namespace
 {
 
-/** Same shape as the engine golden suite: faults dense enough that
- *  several land inside the workload. */
-const char *kFaultSpec =
-    "seed=7,rate=500,horizon=20000,kinds=flip+hang+mem,bits=1";
-
-/** The planned workloads. */
-enum class Load
-{
-    MatUpdate,
-    Lu,
-    /**
-     * Host-streaming 5x5 conv2d at P = 16, tau = 4 (table 6.2's
-     * shape, scaled down): cells defer burst windows while the host
-     * keeps feeding the bus, so a stop lands inside a deferred window.
-     */
-    Conv,
-};
-
-CoprocConfig
-baseConfig(EngineMode mode, bool fast_tier, bool faulted,
-           Load load = Load::MatUpdate)
-{
-    CoprocConfig cfg;
-    cfg.cells = load == Load::Conv ? 16 : 4;
-    cfg.cell.tf = 256;
-    cfg.host.tau = load == Load::Conv ? 4 : 2;
-    cfg.watchdogCycles = 500000;
-    cfg.statsSampleInterval = 64;
-    cfg.engineMode = mode;
-    cfg.fastTier = fast_tier;
-    if (faulted) {
-        cfg.faults = fault::parseFaultSpec(kFaultSpec);
-        cfg.cell.parity = fault::ParityMode::Correct;
-    }
-    return cfg;
-}
-
-/** Build the machine and plan the workload (matupdate and LU use
- *  only preinstalled microcode, so traced runs intern identical track
- *  sets on restore; conv2d installs its generated microcode at plan
- *  time, the same entry on every build). */
-std::unique_ptr<Coprocessor>
-buildPlanned(const CoprocConfig &cfg, Load load)
-{
-    auto sys = std::make_unique<Coprocessor>(cfg);
-    kernels::installStandardKernels(*sys);
-    if (load == Load::Conv) {
-        const std::size_t rows = 8, cols = 256;
-        MatRef image_t = allocMat(sys->memory(), cols + 4, rows + 5);
-        MatRef wr = allocMat(sys->memory(), 5, 5);
-        MatRef out_t = allocMat(sys->memory(), cols, rows);
-        for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t c = 0; c < cols; ++c) {
-                sys->memory().storeF(image_t.addrOf(c, r),
-                                     float((r * 7 + c * 3) % 11) - 5.0f);
-            }
-        }
-        for (std::size_t i = 0; i < 5; ++i) {
-            for (std::size_t j = 0; j < 5; ++j)
-                sys->memory().storeF(wr.addrOf(i, j), 0.25f * (i + j));
-        }
-        SignalPlanner plan(*sys);
-        plan.conv2d(image_t, wr, out_t, rows, cols);
-        plan.commit();
-        return sys;
-    }
-    LinalgPlanner plan(*sys);
-    const std::size_t n = 24, k = 40;
-    if (load == Load::Lu) {
-        MatRef a = allocMat(sys->memory(), n, n);
-        for (std::size_t i = 0; i < n; ++i)
-            sys->memory().storeF(a.addrOf(i, i), 2.0f);
-        plan.lu(a);
-    } else {
-        MatRef c = allocMat(sys->memory(), n, n);
-        MatRef a = allocMat(sys->memory(), n, k);
-        MatRef b = allocMat(sys->memory(), k, n);
-        plan.matUpdate(c, a, b);
-    }
-    plan.commit();
-    return sys;
-}
-
-std::uint64_t
-memChecksum(const Coprocessor &sys)
-{
-    const host::HostMemory &mem =
-        const_cast<Coprocessor &>(sys).memory();
-    std::uint64_t h = 14695981039346656037ull;
-    for (std::size_t i = 0; i < mem.mark(); ++i)
-        h = (h ^ mem.load(i)) * 1099511628211ull;
-    return h;
-}
-
-struct RunOut
-{
-    Cycle endCycle = 0;
-    std::string statsJson;
-    std::uint64_t memSum = 0;
-};
-
-RunOut
-finishOut(Coprocessor &sys)
-{
-    RunOut out;
-    out.endCycle = sys.engine().now();
-    out.statsJson = sys.statsJson();
-    out.memSum = memChecksum(sys);
-    return out;
-}
-
-/** Uninterrupted reference run. */
-RunOut
-runStraight(const CoprocConfig &cfg, Load load)
-{
-    auto sys = buildPlanned(cfg, load);
-    sys->run();
-    return finishOut(*sys);
-}
-
-/**
- * The first cycle at or after @p from at which some cell of the conv
- * workload (skip mode, fast tier on) is inside a deferred burst
- * window, so runUntil() must materialize a window prefix. Detected by
- * the grant count: a stop inside a window makes the resumed run tick
- * that cell live once and grant the window's remainder again, one
- * grant more than the uninterrupted run. Returns 0 if none is found
- * within a short scan.
- */
-Cycle
-stopInsideBurst(Cycle from)
-{
-    const CoprocConfig cfg =
-        baseConfig(EngineMode::Skip, true, false, Load::Conv);
-    auto straight = buildPlanned(cfg, Load::Conv);
-    straight->run();
-    const std::uint64_t grants = straight->engine().bursts();
-    for (Cycle stop = from; stop < from + 64; ++stop) {
-        auto sys = buildPlanned(cfg, Load::Conv);
-        sys->runUntil(stop);
-        sys->run();
-        if (sys->engine().bursts() > grants)
-            return stop;
-    }
-    return 0;
-}
-
 const EngineMode kAllModes[] = {EngineMode::Spin, EngineMode::Skip};
 
 std::string
 tmpPath(const char *name)
 {
     return std::string("snapshot_test_") + name;
+}
+
+/**
+ * Where the resume tests stop @p r: halfway through, and for conv2d
+ * the first cycle from there that falls inside a deferred burst
+ * window, so the stop materializes a window prefix.
+ */
+Cycle
+stopFor(const RunSpec &r)
+{
+    const Cycle half = run(r.reference()).cycles / 2;
+    return r.load == Workload::Conv ? stopInsideBurst(r, half) : half;
 }
 
 } // anonymous namespace
@@ -318,31 +179,14 @@ TEST(SnapshotResume, PauseAndContinueIsByteIdentical)
     // both engine modes and fast-tier settings. For conv2d, N falls
     // inside a deferred burst window, so the stop materializes a
     // window prefix.
-    for (Load load : {Load::MatUpdate, Load::Conv}) {
-        const Cycle half =
-            runStraight(baseConfig(EngineMode::Skip, true, false, load),
-                        load)
-                .endCycle
-            / 2;
-        const Cycle stop =
-            load == Load::Conv ? stopInsideBurst(half) : half;
+    for (Workload w : {Workload::MatUpdate, Workload::Conv}) {
+        const Cycle stop = stopFor(RunSpec(w));
         ASSERT_NE(stop, 0u);
         for (EngineMode mode : kAllModes) {
             for (bool fast : {true, false}) {
-                CoprocConfig cfg = baseConfig(mode, fast, false, load);
-                RunOut ref = runStraight(cfg, load);
-                auto sys = buildPlanned(cfg, load);
-                sys->runUntil(stop);
-                EXPECT_EQ(sys->engine().now(), stop);
-                sys->run();
-                RunOut got = finishOut(*sys);
-                std::string what =
-                    std::string("load=") + std::to_string(int(load))
-                    + " mode=" + sim::engineModeName(mode)
-                    + " fast=" + (fast ? "on" : "off");
-                EXPECT_EQ(ref.endCycle, got.endCycle) << what;
-                EXPECT_EQ(ref.statsJson, got.statsJson) << what;
-                EXPECT_EQ(ref.memSum, got.memSum) << what;
+                const RunSpec r = RunSpec(w).in(mode, fast).stoppedAt(
+                    stop, Resume::Continue);
+                EXPECT_EQ(check(r).resumedAt, stop) << r.name();
             }
         }
     }
@@ -353,48 +197,19 @@ TEST(SnapshotResume, RestoredSystemFinishesByteIdentical)
     // Snapshot at N, restore into a freshly built machine (as another
     // process would), finish there: cycles, stats JSON (with the
     // sampler series) and the memory image all match the
-    // uninterrupted run. Resume may also switch engine modes. For
-    // conv2d, N falls inside a deferred burst window.
-    for (Load load : {Load::MatUpdate, Load::Conv}) {
+    // uninterrupted run. Resume may also switch engine modes and the
+    // fast tier. For conv2d, N falls inside a deferred burst window.
+    for (Workload w : {Workload::MatUpdate, Workload::Conv}) {
+        const Cycle stop = stopFor(RunSpec(w));
+        ASSERT_NE(stop, 0u);
         for (EngineMode mode : kAllModes) {
-            CoprocConfig cfg = baseConfig(mode, true, false, load);
-            RunOut ref = runStraight(cfg, load);
-            const Cycle stop = load == Load::Conv
-                                   ? stopInsideBurst(ref.endCycle / 2)
-                                   : ref.endCycle / 2;
-            ASSERT_NE(stop, 0u);
-
-            auto a = buildPlanned(cfg, load);
-            a->runUntil(stop);
-            snap::Snapshot snap = a->takeSnapshot();
-            EXPECT_EQ(snap.cycle, stop);
-            a.reset();
-
-            // Same mode...
-            auto b = buildPlanned(cfg, load);
-            b->restoreSnapshot(snap);
-            EXPECT_EQ(b->engine().now(), stop);
-            b->run();
-            RunOut got = finishOut(*b);
-            std::string what = std::string("load=")
-                               + std::to_string(int(load)) + " mode="
-                               + sim::engineModeName(mode);
-            EXPECT_EQ(ref.endCycle, got.endCycle) << what;
-            EXPECT_EQ(ref.statsJson, got.statsJson) << what;
-            EXPECT_EQ(ref.memSum, got.memSum) << what;
-
-            // ...and resumed under a different mode + fast tier.
-            CoprocConfig other = baseConfig(
-                mode == EngineMode::Spin ? EngineMode::Skip
-                                         : EngineMode::Spin,
-                false, false, load);
-            auto c = buildPlanned(other, load);
-            c->restoreSnapshot(snap);
-            c->run();
-            RunOut cross = finishOut(*c);
-            EXPECT_EQ(ref.endCycle, cross.endCycle) << what << " cross";
-            EXPECT_EQ(ref.statsJson, cross.statsJson) << what << " cross";
-            EXPECT_EQ(ref.memSum, cross.memSum) << what << " cross";
+            const RunSpec same =
+                RunSpec(w).in(mode).stoppedAt(stop, Resume::Restore);
+            const EngineMode other = mode == EngineMode::Spin
+                                         ? EngineMode::Skip
+                                         : EngineMode::Spin;
+            for (const RunSpec &r : {same, same.resumedIn(other, false)})
+                EXPECT_EQ(check(r).resumedAt, stop) << r.name();
         }
     }
 }
@@ -407,23 +222,10 @@ TEST(SnapshotResume, RestoreRewindsAMachinePastTheSnapshot)
     // credited again from the restored clock rather than from where
     // the used machine left off.
     for (EngineMode mode : kAllModes) {
-        CoprocConfig cfg = baseConfig(mode, true, false);
-        RunOut ref = runStraight(cfg, Load::MatUpdate);
-        const Cycle stop = ref.endCycle / 2;
-
-        auto a = buildPlanned(cfg, Load::MatUpdate);
-        a->runUntil(stop);
-        snap::Snapshot snap = a->takeSnapshot();
-        a->run();
-        ASSERT_GT(a->engine().now(), stop);
-        a->restoreSnapshot(snap);
-        EXPECT_EQ(a->engine().now(), stop);
-        a->run();
-        RunOut got = finishOut(*a);
-        const char *what = sim::engineModeName(mode);
-        EXPECT_EQ(ref.endCycle, got.endCycle) << what;
-        EXPECT_EQ(ref.statsJson, got.statsJson) << what;
-        EXPECT_EQ(ref.memSum, got.memSum) << what;
+        const RunSpec r = RunSpec(Workload::MatUpdate).in(mode);
+        const RunSpec rewound = r.stoppedAt(stopFor(r), Resume::Rewind);
+        EXPECT_EQ(check(rewound).resumedAt, rewound.stopAt)
+            << rewound.name();
     }
 }
 
@@ -432,25 +234,9 @@ TEST(SnapshotResume, SurvivesFileRoundTripUnderFaults)
     // Active fault injection (flips being corrected, hangs being
     // recovered, RNG streams mid-draw) checkpointed to disk and
     // resumed in a fresh machine, for both workload shapes.
-    for (bool lu : {false, true}) {
-        CoprocConfig cfg = baseConfig(EngineMode::Skip, true, true);
-        const Load load = lu ? Load::Lu : Load::MatUpdate;
-        RunOut ref = runStraight(cfg, load);
-
-        const std::string path =
-            tmpPath(lu ? "faulted_lu.snap" : "faulted_mu.snap");
-        auto a = buildPlanned(cfg, load);
-        a->runUntil(ref.endCycle / 2);
-        a->saveSnapshot(path);
-        a.reset();
-
-        auto b = buildPlanned(cfg, load);
-        b->loadSnapshot(path);
-        b->run();
-        RunOut got = finishOut(*b);
-        EXPECT_EQ(ref.endCycle, got.endCycle) << "lu=" << lu;
-        EXPECT_EQ(ref.statsJson, got.statsJson) << "lu=" << lu;
-        EXPECT_EQ(ref.memSum, got.memSum) << "lu=" << lu;
+    for (Workload w : {Workload::MatUpdate, Workload::Lu}) {
+        const RunSpec r = RunSpec(w, Plan::Corrected).in(EngineMode::Skip);
+        check(r.stoppedAt(stopFor(r), Resume::File));
     }
 }
 
@@ -459,58 +245,23 @@ TEST(SnapshotResume, TraceStreamSplitsExactly)
     // The uninterrupted trace equals the pre-snapshot prefix plus the
     // suffix a restored machine emits: no lost, duplicated or
     // reordered events across the checkpoint boundary.
-    CoprocConfig cfg = baseConfig(EngineMode::Skip, true, true);
-
-    trace::Tracer refTracer;
-    trace::VectorSink refSink;
-    auto ref = buildPlanned(cfg, Load::MatUpdate);
-    refTracer.addSink(&refSink);
-    ref->attachTracer(&refTracer);
-    ref->run();
-    const Cycle end = ref->engine().now();
-    ref.reset();
-
-    trace::Tracer preTracer;
-    trace::VectorSink preSink;
-    auto a = buildPlanned(cfg, Load::MatUpdate);
-    preTracer.addSink(&preSink);
-    a->attachTracer(&preTracer);
-    a->runUntil(end / 2);
-    snap::Snapshot snap = a->takeSnapshot();
-    const std::size_t split = preSink.events.size();
-    a.reset();
-
-    trace::Tracer postTracer;
-    trace::VectorSink postSink;
-    auto b = buildPlanned(cfg, Load::MatUpdate);
-    postTracer.addSink(&postSink);
-    b->attachTracer(&postTracer);
-    b->restoreSnapshot(snap);
-    b->run();
-
-    ASSERT_EQ(refSink.events.size(),
-              split + postSink.events.size());
-    auto same = [](const trace::Event &x, const trace::Event &y) {
-        return x.cycle == y.cycle && x.kind == y.kind && x.arg == y.arg
-               && x.comp == y.comp && x.track == y.track && x.a == y.a
-               && x.b == y.b;
-    };
-    for (std::size_t i = 0; i < split; ++i)
-        ASSERT_TRUE(same(refSink.events[i], preSink.events[i]))
-            << "prefix event " << i;
-    for (std::size_t i = 0; i < postSink.events.size(); ++i)
-        ASSERT_TRUE(
-            same(refSink.events[split + i], postSink.events[i]))
-            << "suffix event " << i;
+    const RunSpec r =
+        RunSpec(Workload::MatUpdate, Plan::Corrected).in(EngineMode::Skip)
+            .withTrace();
+    const RunOut &got = check(r.stoppedAt(stopFor(r), Resume::Restore));
+    EXPECT_FALSE(got.events.empty());
 }
 
 TEST(SnapshotResume, WrongConfigurationIsRejected)
 {
-    CoprocConfig cfg = baseConfig(EngineMode::Skip, true, false);
-    auto a = buildPlanned(cfg, Load::MatUpdate);
-    a->runUntil(500);
-    snap::Snapshot snap = a->takeSnapshot();
-    a.reset();
+    const CoprocConfig cfg =
+        config(RunSpec(Workload::MatUpdate).in(EngineMode::Skip));
+    snap::Snapshot snap;
+    {
+        Machine a = build(cfg, Workload::MatUpdate);
+        a.sys->runUntil(500);
+        snap = a.sys->takeSnapshot();
+    }
 
     // A machine with a different timing-relevant configuration must
     // refuse the snapshot up front (fingerprint check)...
