@@ -13,7 +13,9 @@
 #include <map>
 #include <mutex>
 
+#include "blasref/matrix.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "fault/fault.hh"
 #include "kernels/kernel_set.hh"
 #include "planner/linalg_plan.hh"
@@ -41,6 +43,8 @@ workloadName(Workload w)
         return "syrk";
       case Workload::Conv:
         return "conv";
+      case Workload::FaultMix:
+        return "faultmix";
     }
     return "?";
 }
@@ -48,7 +52,14 @@ workloadName(Workload w)
 Shape
 defaultShape(Workload w)
 {
-    return w == Workload::Conv ? Shape{16, 256, 4} : Shape{4, 256, 2};
+    switch (w) {
+      case Workload::Conv:
+        return {16, 256, 4};
+      case Workload::FaultMix:
+        return {2, 512, 2};
+      default:
+        return {4, 256, 2};
+    }
 }
 
 const char *
@@ -163,6 +174,7 @@ applyPlan(CoprocConfig &cfg, Plan plan)
             "seed=4,n=6,horizon=4000,kinds=flip+drop+dup+hang+halt+mem");
         cfg.cell.parity = fault::ParityMode::Detect;
         cfg.host.recovery.enabled = true;
+        cfg.host.recovery.timeoutCycles = 2500;
         cfg.host.recovery.retryBudget = 4;
         break;
     }
@@ -239,6 +251,57 @@ class CountReport : public ::testing::Environment
 [[maybe_unused]] ::testing::Environment *const countReport =
     ::testing::AddGlobalTestEnvironment(new CountReport);
 
+/**
+ * FaultMix's three jobs on random inputs: gemm then negated gemm, a
+ * diagonally dominant LU (stable without pivots) and an SPD Cholesky.
+ */
+void
+addFaultMix(Coprocessor &sys, JobRunner &jobs)
+{
+    using blasref::Matrix;
+    host::HostMemory &mem = sys.memory();
+    Rng rng(11);
+    Matrix c(16, 16), a(16, 12), b(12, 16);
+    c.randomize(rng);
+    a.randomize(rng);
+    b.randomize(rng);
+    MatRef cr = allocMat(mem, 16, 16);
+    MatRef ar = allocMat(mem, 16, 12);
+    MatRef br = allocMat(mem, 12, 16);
+    storeMat(mem, cr, c);
+    storeMat(mem, ar, a);
+    storeMat(mem, br, b);
+    jobs.add("gemm", [&sys, cr, ar, br](std::uint32_t alive) {
+        LinalgPlanner p(sys, alive);
+        p.matUpdate(cr, ar, br);
+        p.matUpdate(cr, ar, br, /*negate=*/true);
+        return p.takeOps();
+    });
+    Matrix lu(20, 20);
+    lu.randomize(rng);
+    for (std::size_t i = 0; i < 20; ++i)
+        lu.at(i, i) += 8.0f;
+    MatRef lur = allocMat(mem, 20, 20);
+    storeMat(mem, lur, lu);
+    jobs.add("lu", [&sys, lur](std::uint32_t alive) {
+        LinalgPlanner p(sys, alive);
+        p.lu(lur);
+        return p.takeOps();
+    });
+    Matrix spd(12, 12, 0.0f);
+    for (std::size_t i = 0; i < 12; ++i)
+        for (std::size_t j = 0; j < 12; ++j)
+            spd.at(i, j) = (i == j ? 14.0f : 0.0f)
+                           + 0.5f / float(1 + i + j);
+    MatRef spdr = allocMat(mem, 12, 12);
+    storeMat(mem, spdr, spd);
+    jobs.add("cholesky", [&sys, spdr](std::uint32_t alive) {
+        LinalgPlanner p(sys, alive);
+        p.cholesky(spdr);
+        return p.takeOps();
+    });
+}
+
 } // anonymous namespace
 
 CoprocConfig
@@ -254,9 +317,9 @@ build(const CoprocConfig &cfg, Workload w)
     m.sys = std::make_unique<Coprocessor>(cfg);
     Coprocessor &sys = *m.sys;
     kernels::installStandardKernels(sys);
-    // Planned as one job: byte-identical to committing the planner
-    // when recovery is off, and re-plannable onto survivors when a
-    // Recovery plan kills a cell.
+    // Planned as one job (FaultMix: three): byte-identical to
+    // committing the planner when recovery is off, and re-plannable
+    // onto survivors when a Recovery plan kills a cell.
     m.jobs = std::make_unique<JobRunner>(sys);
     host::HostMemory &mem = sys.memory();
     const std::size_t n = 24, k = 40;
@@ -331,8 +394,12 @@ build(const CoprocConfig &cfg, Workload w)
         };
         break;
       }
+      case Workload::FaultMix:
+        addFaultMix(sys, *m.jobs);
+        break;
     }
-    m.jobs->add(workloadName(w), std::move(plan));
+    if (plan)
+        m.jobs->add(workloadName(w), std::move(plan));
     m.jobs->dispatch();
     return m;
 }
@@ -495,6 +562,15 @@ expectSame(const RunOut &ref, const RunOut &got, const std::string &what)
         ADD_FAILURE() << what << ": trace has " << got.events.size()
                       << " events, reference " << ref.events.size();
     }
+}
+
+std::uint64_t
+counter(const RunOut &out, const std::string &key)
+{
+    const std::string tag = "\"" + key + "\": ";
+    const std::size_t at = out.statsJson.find(tag);
+    opac_assert(at != std::string::npos, "no counter %s", key.c_str());
+    return std::stoull(out.statsJson.substr(at + tag.size()));
 }
 
 const RunOut &

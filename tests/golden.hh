@@ -60,6 +60,13 @@ enum class Workload
      * passes, so bursts must be per-component.
      */
     Conv,
+    /**
+     * The fault-recovery job mix, planned as three jobs: gemm then
+     * negated gemm (C(16,16) += / -= A(16,12) B(12,16)), a 20x20 LU
+     * and a 12x12 Cholesky, on random (seeded) inputs. Runs under the
+     * Recovery plan at P = 2, Tf = 512, tau = 2; not in kWorkloads.
+     */
+    FaultMix,
 };
 
 inline constexpr Workload kWorkloads[] = {
@@ -80,7 +87,10 @@ struct Shape
     unsigned tau;
 };
 
-/** P = 16, Tf = 256, tau = 4 for conv; P = 4, Tf = 256, tau = 2 else. */
+/**
+ * P = 16, Tf = 256, tau = 4 for conv; P = 2, Tf = 512, tau = 2 for the
+ * fault mix; P = 4, Tf = 256, tau = 2 else.
+ */
 Shape defaultShape(Workload w);
 
 /** Fault plans. */
@@ -110,10 +120,11 @@ enum class Plan
     /**
      * Every recoverable kind (flips, bus drops and duplicates, hangs,
      * halts, memory spikes) in the first 4000 cycles, under
-     * parity=detect with the transaction retry machinery live (retry
-     * budget 4): skipping must neither miss an injection nor shift a
-     * timeout. Needs a job short enough to finish inside the default
-     * transaction deadline once its faults are recovered.
+     * parity=detect with the transaction retry machinery live (a
+     * 2500-cycle deadline, retry budget 4): skipping must neither miss
+     * an injection nor shift a timeout. The deadline is only pushed
+     * out by bus traffic, so it suits FaultMix's short jobs; a long
+     * compute phase (matupdate's) is declared stuck under it.
      */
     Recovery,
 };
@@ -210,6 +221,9 @@ RunOut simulate(const RunSpec &r);
  */
 void expectSame(const RunOut &ref, const RunOut &got,
                 const std::string &what);
+
+/** The value of counter @p key (e.g. "system.host.txnRetries"). */
+std::uint64_t counter(const RunOut &out, const std::string &key);
 
 /** run(@p r), compared with its reference. Returns @p r's outcome. */
 const RunOut &check(const RunSpec &r);

@@ -44,14 +44,13 @@ TEST(EngineModes, FaultedRunsMatchUnderSkip)
     // recovery actions, sampled series) must not depend on the mode.
     // Untraced, so the skip run really sleeps and wakes through them.
     // The Recovery plan adds bus drops and duplicates, halts and live
-    // transaction retries on the two-cell machine: skipping must
-    // neither miss an injection nor shift a timeout.
+    // transaction timeouts and retries on the two-cell fault mix:
+    // skipping must neither miss an injection nor shift a timeout.
     const RunSpec cases[] = {
         RunSpec(Workload::MatUpdate, Plan::Corrected),
         RunSpec(Workload::Trmm, Plan::CorrectedEarly),
         RunSpec(Workload::Syrk, Plan::CorrectedEarly),
-        RunSpec(Workload::MatUpdate, {2, 512, 2}, Plan::Recovery),
-        RunSpec(Workload::Lu, {2, 512, 2}, Plan::Recovery),
+        RunSpec(Workload::FaultMix, Plan::Recovery),
     };
     for (const RunSpec &r : cases) {
         const RunOut &got = check(r.in(EngineMode::Skip));
@@ -59,8 +58,12 @@ TEST(EngineModes, FaultedRunsMatchUnderSkip)
         // A plan that never bites covers nothing.
         const RunOut &clean = run(RunSpec(r.load, r.shape));
         EXPECT_NE(run(r).cycles, clean.cycles) << r.name();
-        // Retry and replay end in the fault-free result.
         if (r.plan == Plan::Recovery) {
+            EXPECT_GT(counter(run(r), "system.host.txnTimeouts"), 0u)
+                << r.name();
+            EXPECT_GT(counter(run(r), "system.host.txnRetries"), 0u)
+                << r.name();
+            // Retry and replay end in the fault-free result.
             EXPECT_EQ(run(r).memSum, clean.memSum) << r.name();
         }
     }
